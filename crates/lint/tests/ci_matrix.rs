@@ -9,6 +9,7 @@
 //! [`SystemConfig::presets`] or [`mscope_lint::FRONTS`] exactly, in
 //! either direction. The bench-smoke job's bench-delta guard is held to
 //! the same standard: every committed smoke baseline must be compared.
+//! The stand-alone benchmark package must be built and tested too.
 
 use mscope_ntier::SystemConfig;
 
@@ -105,6 +106,20 @@ fn lint_invocations_cover_every_front() {
             .any(|l| l.contains("mscope-lint -- all") && l.contains("--strict")),
         "ci.yml must run `mscope-lint -- all --strict`"
     );
+}
+
+#[test]
+fn ci_builds_and_tests_the_standalone_benchmark() {
+    // perfbench is its own workspace, so `--workspace` steps never build
+    // it; CI must name its manifest for both the build and the tests.
+    let yml = ci_yml();
+    for verb in ["cargo build", "cargo test"] {
+        assert!(
+            yml.lines()
+                .any(|l| l.contains(verb) && l.contains("--manifest-path perfbench/Cargo.toml")),
+            "ci.yml must run `{verb}` on perfbench/Cargo.toml"
+        );
+    }
 }
 
 #[test]

@@ -1,17 +1,17 @@
-//! mScope XMLtoCSV Converter (paper §III-B3): turns annotated XML into an
-//! inferred schema plus typed rows, separating the parsers' data annotation
-//! from warehouse schema creation.
+//! mScope XMLtoCSV Converter (paper §III-B3): turns annotated entries into
+//! an inferred schema plus typed rows, separating the parsers' data
+//! annotation from warehouse schema creation.
 //!
 //! Schema inference is bottom-up exactly as described: the column set is
 //! the **union** of all tags appearing in any entry (first-appearance
 //! order), and each column's type is the **narrowest** type in the lattice
 //! that admits every observed value.
 //!
-//! Historically this stage emitted CSV text that the importer immediately
-//! re-parsed. The conversion now goes straight to typed [`Value`] rows —
-//! every cell is classified once, by [`normalize_cell`], for both
-//! inference and loading — and CSV is an on-demand *export* artifact
-//! ([`ConvertedTable::to_csv`]) that round-trips losslessly through
+//! The pipeline converts parsed entries straight to typed [`Value`] rows —
+//! every cell is classified by [`normalize_cell`] for both inference and
+//! loading. Annotated XML ([`convert_xml`]) and CSV
+//! ([`ConvertedTable::to_csv`]) are on-demand *export* views: the former
+//! runs the same inference, the latter round-trips losslessly through
 //! [`import_csv`](crate::import_csv).
 
 use crate::csv::write_csv;
@@ -19,15 +19,14 @@ use crate::error::TransformError;
 use crate::import::{normalize_cell, parse_cell};
 use crate::xml::XmlNode;
 use mscope_db::{Column, ColumnType, Schema, Value};
-use std::collections::BTreeSet;
 
-/// Result of converting one table's worth of annotated XML: the inferred
-/// schema plus the typed rows ready for direct warehouse load.
+/// Result of converting one table's worth of entries: the inferred schema
+/// plus the typed rows ready for direct warehouse load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvertedTable {
     /// Inferred schema.
     pub schema: Schema,
-    /// Typed rows, one per `<entry>`, cells in schema column order.
+    /// Typed rows, one per entry, cells in schema column order.
     /// Missing fields are [`Value::Null`].
     pub rows: Vec<Vec<Value>>,
 }
@@ -58,12 +57,166 @@ impl ConvertedTable {
     }
 }
 
-/// Converts one or more annotated `<log>` documents (all destined for the
-/// same table) into an inferred schema and typed rows.
+/// Running bottom-up schema inference over entries — the one
+/// implementation both drivers share. [`convert_entries`] folds a whole
+/// table group before typing any row; the streaming transformer folds as
+/// entries arrive and rebuilds its table when a column widens.
 ///
-/// Converting the documents together is what makes the column-set union and
+/// The column set is the union of all field names (first-appearance
+/// order); each column's join is the narrowest lattice type admitting
+/// every value seen, classified by the importer's [`normalize_cell`] rule
+/// so a cell that loads as Null never widens its column; a column whose
+/// join is still `Null` is typed `Text` ([`SchemaJoin::effective`]).
+#[derive(Debug, Default)]
+pub(crate) struct SchemaJoin {
+    cols: Vec<(String, ColumnType)>,
+    /// Per column, the ordinal of the last entry that carried it — the
+    /// duplicate-field check, without a per-entry set.
+    seen: Vec<usize>,
+    entries: usize,
+}
+
+impl SchemaJoin {
+    /// The index of column `name`. Entries from one declaration carry
+    /// their fields in column order, so field position `hint` is tried
+    /// first.
+    fn index_of(&self, name: &str, hint: usize) -> Option<usize> {
+        match self.cols.get(hint) {
+            Some((n, _)) if n == name => Some(hint),
+            _ => self.cols.iter().position(|(n, _)| n == name),
+        }
+    }
+
+    /// Folds one entry of `source` into the join.
+    ///
+    /// # Errors
+    ///
+    /// [`TransformError::SchemaInference`] if the entry carries a field
+    /// twice (ambiguous annotation).
+    pub(crate) fn add<S: AsRef<str>>(
+        &mut self,
+        entry: &[(S, S)],
+        source: &str,
+    ) -> Result<(), TransformError> {
+        self.entries += 1;
+        for (i, (k, v)) in entry.iter().enumerate() {
+            let k = k.as_ref();
+            let vt = match normalize_cell(v.as_ref()) {
+                None => ColumnType::Null,
+                Some(t) => Value::infer(t).column_type(),
+            };
+            match self.index_of(k, i) {
+                Some(ci) if self.seen[ci] == self.entries => {
+                    return Err(TransformError::SchemaInference(format!(
+                        "duplicate field `{k}` within one entry of `{source}`"
+                    )));
+                }
+                Some(ci) => {
+                    self.seen[ci] = self.entries;
+                    self.cols[ci].1 = self.cols[ci].1.unify(vt);
+                }
+                None => {
+                    // perf: one owned name per *distinct* column, not per field.
+                    self.cols.push((k.to_string(), vt));
+                    self.seen.push(self.entries);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The warehouse type of column `ci`: its join, with a column never
+    /// observed with a non-null value widened to `Text` so the warehouse
+    /// can hold whatever later loads bring.
+    fn effective(&self, ci: usize) -> ColumnType {
+        match self.cols[ci].1 {
+            ColumnType::Null => ColumnType::Text,
+            t => t,
+        }
+    }
+
+    /// The effective schema.
+    pub(crate) fn schema(&self) -> Result<Schema, TransformError> {
+        Schema::new(
+            self.cols
+                .iter()
+                .enumerate()
+                .map(|(ci, (n, _))| Column::new(n.clone(), self.effective(ci)))
+                .collect(),
+        )
+        .map_err(|e| TransformError::SchemaInference(e.to_string()))
+    }
+
+    /// Types one folded entry of `source` under the effective schema,
+    /// through the exact cell rules the CSV importer uses; missing fields
+    /// are [`Value::Null`].
+    ///
+    /// # Errors
+    ///
+    /// [`TransformError::BadCell`] if a cell fails to load as its
+    /// column's type (cannot happen when inference and loading share
+    /// [`normalize_cell`], but never loads silently-wrong data).
+    pub(crate) fn row<S: AsRef<str>>(
+        &self,
+        entry: &[(S, S)],
+        source: &str,
+    ) -> Result<Vec<Value>, TransformError> {
+        let mut row = vec![Value::Null; self.cols.len()];
+        for (i, (k, v)) in entry.iter().enumerate() {
+            let k = k.as_ref();
+            let ci = self.index_of(k, i).ok_or_else(|| {
+                TransformError::SchemaInference(format!(
+                    "field `{k}` of `{source}` was never folded"
+                ))
+            })?;
+            row[ci] = parse_cell(source, k, self.effective(ci), v.as_ref())?;
+        }
+        Ok(row)
+    }
+}
+
+/// One file's source path and its entries, each a list of `(field, raw
+/// value)` pairs.
+pub(crate) type FileEntries<'a, S> = (&'a str, Vec<Vec<(S, S)>>);
+
+/// Converts the entries of one or more files, all destined for the same
+/// table, into an inferred schema and typed rows. Each file is its source
+/// path and its entries, as [`ParsingDeclaration::advance`] emits them.
+///
+/// Converting the files together is what makes the column-set union and
 /// type join span *all* inputs — two Apache replicas' logs cannot produce
 /// conflicting schemas.
+///
+/// [`ParsingDeclaration::advance`]: crate::ParsingDeclaration::advance
+///
+/// # Errors
+///
+/// As [`SchemaJoin::add`] and [`SchemaJoin::row`].
+pub(crate) fn convert_entries<S: AsRef<str>>(
+    files: &[FileEntries<'_, S>],
+) -> Result<ConvertedTable, TransformError> {
+    let mut join = SchemaJoin::default();
+    for (source, entries) in files {
+        for entry in entries {
+            join.add(entry, source)?;
+        }
+    }
+    let schema = join.schema()?;
+    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(join.entries);
+    for (source, entries) in files {
+        for entry in entries {
+            rows.push(join.row(entry, source)?);
+        }
+    }
+    Ok(ConvertedTable { schema, rows })
+}
+
+/// Converts one or more annotated `<log>` documents (all destined for the
+/// same table) into an inferred schema and typed rows — the XML export
+/// view of the pipeline's entry conversion, which it reproduces exactly on
+/// the documents [`ParsingDeclaration::execute`] renders.
+///
+/// [`ParsingDeclaration::execute`]: crate::ParsingDeclaration::execute
 ///
 /// # Errors
 ///
@@ -73,70 +226,24 @@ impl ConvertedTable {
 /// inconsistent pipeline — cannot happen when inference and loading share
 /// [`normalize_cell`], but never loads silently-wrong data).
 pub fn convert_xml(docs: &[XmlNode]) -> Result<ConvertedTable, TransformError> {
-    // Pass 1: union of columns (first-appearance order) and type join.
-    let mut columns: Vec<(String, ColumnType)> = Vec::new();
-    let mut entry_count = 0usize;
-    for doc in docs {
-        for entry in doc.children.iter().filter(|c| c.name == "entry") {
-            entry_count += 1;
-            let mut seen_in_entry: BTreeSet<&str> = BTreeSet::new();
-            for field in &entry.children {
-                if !seen_in_entry.insert(&field.name) {
-                    return Err(TransformError::SchemaInference(format!(
-                        "duplicate field `{}` within one entry of `{}`",
-                        field.name,
-                        doc.get_attr("source").unwrap_or("?")
-                    )));
-                }
-                // The same trim/null rules the importer applies: a cell the
-                // importer would load as Null must not widen the column.
-                let vt = match normalize_cell(&field.text) {
-                    None => ColumnType::Null,
-                    Some(t) => Value::infer(t).column_type(),
-                };
-                match columns.iter_mut().find(|(n, _)| *n == field.name) {
-                    Some((_, ty)) => *ty = ty.unify(vt),
-                    // perf: one owned name per *distinct* column, not per field.
-                    None => columns.push((field.name.clone(), vt)),
-                }
-            }
-        }
-    }
-    // Columns never observed with a non-null value stay Null; widen to Text
-    // so the warehouse can hold whatever later loads bring.
-    let schema = Schema::new(
-        columns
-            .iter()
-            .map(|(n, t)| {
-                let t = if *t == ColumnType::Null {
-                    ColumnType::Text
-                } else {
-                    *t
-                };
-                Column::new(n.clone(), t)
-            })
-            .collect(),
-    )
-    .map_err(|e| TransformError::SchemaInference(e.to_string()))?;
-
-    // Pass 2: typed rows, through the exact cell rules the CSV importer
-    // uses, so the direct and export paths are value-identical.
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(entry_count);
-    for doc in docs {
-        let source = doc.get_attr("source").unwrap_or("?");
-        for entry in doc.children.iter().filter(|c| c.name == "entry") {
-            let row = schema
-                .columns()
+    let files: Vec<FileEntries<&str>> = docs
+        .iter()
+        .map(|doc| {
+            let entries = doc
+                .children
                 .iter()
-                .map(|c| match entry.find(&c.name) {
-                    Some(f) => parse_cell(source, &c.name, c.ty, &f.text),
-                    None => Ok(Value::Null),
+                .filter(|c| c.name == "entry")
+                .map(|e| {
+                    e.children
+                        .iter()
+                        .map(|f| (f.name.as_str(), f.text.as_str()))
+                        .collect()
                 })
-                .collect::<Result<Vec<Value>, _>>()?;
-            rows.push(row);
-        }
-    }
-    Ok(ConvertedTable { schema, rows })
+                .collect();
+            (doc.get_attr("source").unwrap_or("?"), entries)
+        })
+        .collect();
+    convert_entries(&files)
 }
 
 #[cfg(test)]

@@ -8,13 +8,16 @@
 //!
 //! A [`ParsingDeclaration`] is that mapping entry: a file, a parser
 //! ([`ParserKind`]), a destination table, and constant fields to inject
-//! (node name, tier, …). Executing a declaration yields the annotated XML
-//! of §III-B2 — every log line wrapped in an `<entry>` with semantic child
-//! tags.
+//! (node name, tier, …). [`ParsingDeclaration::advance`] is the one parser
+//! core both drivers share: batch feeds it a whole file, the streaming
+//! transformer feeds it a growing file poll by poll, and both get the same
+//! entries ([`Fields`]). [`ParsingDeclaration::execute`] renders a file's
+//! entries as the annotated XML of §III-B2 — every log line wrapped in an
+//! `<entry>` with semantic child tags — an on-demand export view.
 
 use crate::error::TransformError;
 use crate::pattern::{Pattern, Tok};
-use crate::xml::{self, XmlNode};
+use crate::xml::{self, EntrySpans, Span, XmlNode};
 use mscope_db::{ColumnType, Value};
 
 /// Cheap line classifiers used by filter stages.
@@ -127,145 +130,243 @@ mscope_serdes::json_struct!(ParsingDeclaration {
     constants
 });
 
+/// One parsed entry: `(field, raw value)` pairs in emission order —
+/// constants, then sticky context, then the line's (or element's)
+/// captures.
+pub type Fields = Vec<(String, String)>;
+
+/// Where [`ParsingDeclaration::advance`] stopped in one file: the consumed
+/// byte offset and line count, the staged parser's sticky context and open
+/// block, and the entries emitted so far. A fresh state starts at byte 0.
+#[derive(Debug, Clone, Default)]
+pub struct ParseState {
+    consumed: usize,
+    line_no: usize,
+    ctx: Fields,
+    /// Block mode: the captures so far and the next positional line.
+    block: Option<(Fields, usize)>,
+    entries: usize,
+}
+
+impl ParseState {
+    /// Entries emitted so far.
+    pub fn entries(&self) -> usize {
+        self.entries
+    }
+}
+
+/// Splits the next line off `content[*pos..]` with `str::lines` semantics:
+/// a line ends at `\n`, minus one `\r` before it. The final unterminated
+/// line is only complete `at_end`, and keeps a lone trailing `\r`.
+fn next_line<'a>(content: &'a str, pos: &mut usize, at_end: bool) -> Option<&'a str> {
+    let rest = &content[*pos..];
+    match rest.find('\n') {
+        Some(nl) => {
+            *pos += nl + 1;
+            Some(rest[..nl].strip_suffix('\r').unwrap_or(&rest[..nl]))
+        }
+        None if at_end && !rest.is_empty() => {
+            *pos = content.len();
+            Some(rest)
+        }
+        None => None,
+    }
+}
+
 impl ParsingDeclaration {
-    /// Executes the declaration over file contents, producing the annotated
-    /// `<log>` document.
+    /// The one parser core: consumes `content` from where `st` stopped and
+    /// returns the entries of every complete unit (line, or XML entry
+    /// element) in it. Batch calls it once per file with a fresh state and
+    /// `at_end`; the streaming transformer calls it on every poll as the
+    /// file grows, and with `at_end` once at finish. With `at_end` the
+    /// final newline-less line is parsed, an incomplete trailing block is
+    /// dropped (a tool killed mid-record), and an XML-direct document is
+    /// parsed whole, to surface malformed XML and to check that the entry
+    /// spans covered every entry element.
     ///
     /// # Errors
     ///
     /// [`TransformError::UnparsedLine`] when a surviving line matches no
     /// instruction (format drift is an error, not silence); XML errors for
-    /// the direct path.
-    pub fn execute(&self, content: &str) -> Result<XmlNode, TransformError> {
-        let entries = match &self.parser {
-            ParserKind::Staged(spec) => self.run_staged(spec, content)?,
-            ParserKind::XmlDirect(map) => self.run_xml(map, content)?,
+    /// the direct path, and [`TransformError::SchemaInference`] when the
+    /// entry spans miss entry elements of the document (nested ones).
+    pub fn advance(
+        &self,
+        st: &mut ParseState,
+        content: &str,
+        at_end: bool,
+    ) -> Result<Vec<Fields>, TransformError> {
+        let out = match &self.parser {
+            ParserKind::Staged(spec) => self.advance_staged(spec, st, content, at_end)?,
+            ParserKind::XmlDirect(map) => self.advance_xml(map, st, content)?,
         };
+        st.entries += out.len();
+        if let (true, ParserKind::XmlDirect(map)) = (at_end, &self.parser) {
+            let doc = xml::parse(content).map_err(TransformError::Xml)?;
+            let in_doc = doc.find_all(&map.entry_element).len();
+            if in_doc != st.entries {
+                return Err(TransformError::SchemaInference(format!(
+                    "entry extraction of `{}` saw {} entries but the document holds {in_doc}",
+                    self.path, st.entries
+                )));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Executes the declaration over a whole file and renders the entries
+    /// as the annotated `<log>` document of §III-B2 — an export view of
+    /// [`advance`](ParsingDeclaration::advance)'s output.
+    ///
+    /// # Errors
+    ///
+    /// As [`advance`](ParsingDeclaration::advance).
+    pub fn execute(&self, content: &str) -> Result<XmlNode, TransformError> {
+        let entries = self.advance(&mut ParseState::default(), content, true)?;
         let mut root = XmlNode::new("log")
             .attr("source", &self.path)
             .attr("monitor", &self.monitor_id)
             .attr("table", &self.table);
-        root.children = entries;
+        root.children = entries
+            .into_iter()
+            .map(|fields| {
+                let mut entry = XmlNode::new("entry");
+                entry.children = fields
+                    .into_iter()
+                    .map(|(k, v)| XmlNode::new(k).with_text(v))
+                    .collect();
+                entry
+            })
+            .collect();
         Ok(root)
     }
 
-    fn make_entry(&self, ctx: &[(String, String)], fields: Vec<(String, String)>) -> XmlNode {
-        let mut entry = XmlNode::new("entry");
-        entry
-            .children
-            .reserve(self.constants.len() + ctx.len() + fields.len());
-        for (k, v) in self.constants.iter().chain(ctx) {
-            // perf: constants and context are shared across entries — each
-            // entry owns one clone pair per inherited field.
-            entry
-                .children
-                .push(XmlNode::new(k.clone()).with_text(v.clone()));
-        }
-        for (k, v) in fields {
-            entry.children.push(XmlNode::new(k).with_text(v));
-        }
-        entry
+    /// One entry: constants, then sticky context, then the captures.
+    fn entry(&self, ctx: &[(String, String)], caps: Fields) -> Fields {
+        let mut e = Vec::with_capacity(self.constants.len() + ctx.len() + caps.len());
+        // perf: constants and context are shared across entries — each
+        // entry owns one clone pair per inherited field.
+        e.extend(self.constants.iter().cloned());
+        e.extend(ctx.iter().cloned());
+        e.extend(caps);
+        e
     }
 
-    fn run_staged(&self, spec: &ParserSpec, content: &str) -> Result<Vec<XmlNode>, TransformError> {
-        // Upper bound: one entry per line. Record-style logs (the common
-        // case) sit near it; block logs over-reserve by the block length.
-        let mut entries = Vec::with_capacity(content.lines().count());
-        let mut ctx: Vec<(String, String)> = Vec::new();
-        // Block mode state: Some((captures, next line index)) while inside.
-        let mut block: Option<(Vec<(String, String)>, usize)> = None;
-
-        'lines: for (ln, line) in content.lines().enumerate() {
-            if spec.filters.iter().any(|f| f.matches(line)) {
-                continue;
-            }
-            if let Some(bs) = &spec.blocks {
-                if let Some(caps) = bs.marker.match_line(line) {
-                    // New block begins (flushing any incomplete previous one
-                    // would hide truncation; incomplete blocks are dropped
-                    // only at EOF, mirroring a tool killed mid-record).
-                    block = Some((caps, 0));
-                    continue;
-                }
-                if let Some((fields, idx)) = &mut block {
-                    let Some(slot) = bs.lines.get(*idx) else {
-                        return Err(TransformError::UnparsedLine {
-                            file: self.path.clone(),
-                            line_no: ln + 1,
-                            line: line.to_string(),
-                        });
-                    };
-                    if let Some(pat) = slot {
-                        let caps =
-                            pat.match_line(line)
-                                .ok_or_else(|| TransformError::UnparsedLine {
-                                    file: self.path.clone(),
-                                    line_no: ln + 1,
-                                    line: line.to_string(),
-                                })?;
-                        fields.extend(caps);
-                    }
-                    *idx += 1;
-                    if *idx == bs.lines.len() {
-                        if let Some((fields, _)) = block.take() {
-                            entries.push(self.make_entry(&[], fields));
-                        }
-                    }
-                    continue;
-                }
-            }
-            for pat in &spec.context {
-                if let Some(caps) = pat.match_line(line) {
-                    for (k, v) in caps {
-                        ctx.retain(|(ck, _)| *ck != k);
-                        ctx.push((k, v));
-                    }
-                    continue 'lines;
-                }
-            }
-            for pat in &spec.records {
-                if let Some(caps) = pat.match_line(line) {
-                    // The entry node borrows the shared context and takes the
-                    // captures by value — no intermediate merged Vec.
-                    entries.push(self.make_entry(&ctx, caps));
-                    continue 'lines;
-                }
-            }
-            return Err(TransformError::UnparsedLine {
-                file: self.path.clone(),
-                line_no: ln + 1,
-                line: line.to_string(),
-            });
+    fn unparsed(&self, line_no: usize, line: &str) -> TransformError {
+        TransformError::UnparsedLine {
+            file: self.path.clone(),
+            line_no,
+            line: line.to_string(),
         }
-        Ok(entries)
     }
 
-    fn run_xml(&self, map: &XmlMapping, content: &str) -> Result<Vec<XmlNode>, TransformError> {
-        let doc = xml::parse(content).map_err(TransformError::Xml)?;
-        let els = doc.find_all(&map.entry_element);
-        let mut entries = Vec::with_capacity(els.len());
-        for el in els {
-            let mut fields: Vec<(String, String)> =
+    fn advance_staged(
+        &self,
+        spec: &ParserSpec,
+        st: &mut ParseState,
+        content: &str,
+        at_end: bool,
+    ) -> Result<Vec<Fields>, TransformError> {
+        let mut out = Vec::new();
+        let mut pos = st.consumed;
+        while let Some(line) = next_line(content, &mut pos, at_end) {
+            st.line_no += 1;
+            self.staged_line(spec, st, line, &mut out)?;
+            st.consumed = pos;
+        }
+        Ok(out)
+    }
+
+    /// One line through the staged engine: filters → block mode → context
+    /// → records → unparsed.
+    fn staged_line(
+        &self,
+        spec: &ParserSpec,
+        st: &mut ParseState,
+        line: &str,
+        out: &mut Vec<Fields>,
+    ) -> Result<(), TransformError> {
+        if spec.filters.iter().any(|f| f.matches(line)) {
+            return Ok(());
+        }
+        if let Some(bs) = &spec.blocks {
+            if let Some(caps) = bs.marker.match_line(line) {
+                // New block begins (flushing an incomplete previous one
+                // would hide truncation; incomplete blocks are dropped only
+                // at end of input, mirroring a tool killed mid-record).
+                st.block = Some((caps, 0));
+                return Ok(());
+            }
+            if let Some((fields, idx)) = &mut st.block {
+                let Some(slot) = bs.lines.get(*idx) else {
+                    return Err(self.unparsed(st.line_no, line));
+                };
+                if let Some(pat) = slot {
+                    let caps = pat
+                        .match_line(line)
+                        .ok_or_else(|| self.unparsed(st.line_no, line))?;
+                    fields.extend(caps);
+                }
+                *idx += 1;
+                if *idx == bs.lines.len() {
+                    if let Some((fields, _)) = st.block.take() {
+                        out.push(self.entry(&[], fields));
+                    }
+                }
+                return Ok(());
+            }
+        }
+        for pat in &spec.context {
+            if let Some(caps) = pat.match_line(line) {
+                for (k, v) in caps {
+                    st.ctx.retain(|(ck, _)| *ck != k);
+                    st.ctx.push((k, v));
+                }
+                return Ok(());
+            }
+        }
+        for pat in &spec.records {
+            if let Some(caps) = pat.match_line(line) {
+                out.push(self.entry(&st.ctx, caps));
+                return Ok(());
+            }
+        }
+        Err(self.unparsed(st.line_no, line))
+    }
+
+    /// Extracts every complete entry element after the consumed offset,
+    /// parsing each span as a standalone fragment.
+    fn advance_xml(
+        &self,
+        map: &XmlMapping,
+        st: &mut ParseState,
+        content: &str,
+    ) -> Result<Vec<Fields>, TransformError> {
+        let spans = EntrySpans::new(&map.entry_element);
+        let mut out = Vec::new();
+        while let Span::Complete(start, end) = spans.find(&content[st.consumed..]) {
+            let span = &content[st.consumed + start..st.consumed + end];
+            let el = xml::parse(span).map_err(TransformError::Xml)?;
+            let mut fields: Fields =
                 Vec::with_capacity(map.entry_attrs.len() + map.leaf_attrs.len());
             for (attr, field) in &map.entry_attrs {
                 if let Some(v) = el.get_attr(attr) {
                     // perf: extracted fields own their values — one pair per
-                    // matched attribute, consumed by make_entry below.
+                    // matched attribute.
                     fields.push((field.clone(), v.to_string()));
                 }
             }
             for (elem, attr, field) in &map.leaf_attrs {
-                if let Some(leaf) = el.find_all(elem).first() {
-                    if let Some(v) = leaf.get_attr(attr) {
-                        // perf: extracted fields own their values — one pair
-                        // per matched attribute, consumed by make_entry below.
-                        fields.push((field.clone(), v.to_string()));
-                    }
+                if let Some(v) = el.find_all(elem).first().and_then(|l| l.get_attr(attr)) {
+                    // perf: extracted fields own their values — one pair per
+                    // matched attribute.
+                    fields.push((field.clone(), v.to_string()));
                 }
             }
-            entries.push(self.make_entry(&[], fields));
+            out.push(self.entry(&[], fields));
+            st.consumed += end;
         }
-        Ok(entries)
+        Ok(out)
     }
 }
 
@@ -297,7 +398,7 @@ pub struct DeclIssue {
 }
 
 /// The statically knowable column set of a declaration: constants first
-/// (the order [`make_entry`](ParsingDeclaration::execute) emits them), then
+/// (the order [`advance`](ParsingDeclaration::advance) emits them), then
 /// pattern captures or XML fields. Constants and wall-clock captures carry
 /// a concrete type; plain captures and XML attributes are
 /// [`ColumnType::Null`] — "no value seen yet", the bottom of the inference
@@ -861,6 +962,21 @@ mod tests {
     }
 
     #[test]
+    fn nested_entry_elements_are_rejected() {
+        // The span finder takes the outer element as one entry; the whole
+        // document holds two, and the mismatch is an error in both drivers.
+        let map = XmlMapping {
+            entry_element: "ts".into(),
+            entry_attrs: vec![("t".into(), "t".into())],
+            leaf_attrs: vec![],
+        };
+        assert!(matches!(
+            decl(ParserKind::XmlDirect(map)).execute("<r><ts t=\"1\"><ts t=\"2\"/></ts></r>"),
+            Err(TransformError::SchemaInference(_))
+        ));
+    }
+
+    #[test]
     fn xml_direct_rejects_bad_xml() {
         let map = XmlMapping {
             entry_element: "t".into(),
@@ -871,6 +987,106 @@ mod tests {
             decl(ParserKind::XmlDirect(map)).execute("<broken"),
             Err(TransformError::Xml(_))
         ));
+    }
+
+    /// The lines `next_line` splits off `content`, fed whole and fed one
+    /// byte at a time (ASCII inputs).
+    fn split_both_ways(content: &str) -> (Vec<&str>, Vec<&str>) {
+        let mut whole = Vec::new();
+        let mut pos = 0;
+        while let Some(l) = next_line(content, &mut pos, true) {
+            whole.push(l);
+        }
+        let mut bytewise = Vec::new();
+        let mut pos = 0;
+        for end in 1..=content.len() {
+            while let Some(l) = next_line(&content[..end], &mut pos, end == content.len()) {
+                bytewise.push(l);
+            }
+        }
+        (whole, bytewise)
+    }
+
+    #[test]
+    fn line_splitting_matches_str_lines() {
+        for content in [
+            "a\r\nb\r\n",     // CRLF endings
+            "a\rb\nc\r\n",    // interior bare \r
+            "a\nb\r",         // lone trailing \r
+            "a\nb",           // no final newline
+            "\n\na\n\n\nb\n", // blank lines
+            "\r\n\n",
+            "",
+        ] {
+            let expect: Vec<&str> = content.lines().collect();
+            let (whole, bytewise) = split_both_ways(content);
+            assert_eq!(whole, expect, "{content:?} fed whole");
+            assert_eq!(bytewise, expect, "{content:?} fed byte by byte");
+        }
+    }
+
+    #[test]
+    fn unparsed_line_number_is_independent_of_feeding() {
+        let d = decl(ParserKind::Staged(ParserSpec {
+            name: "strict".into(),
+            filters: vec![LineMatcher::Blank],
+            context: vec![],
+            records: vec![Pattern::new(vec![Tok::lit("ok")])],
+            blocks: None,
+        }));
+        // A bare \r is data inside a line, not a line ending.
+        for (content, bad_no, bad) in [
+            ("ok\r\n\r\nok\r\nBAD\rok\r\nok", 4, "BAD\rok"),
+            ("ok\n\nok\nok\nBAD", 5, "BAD"),
+        ] {
+            let whole = d
+                .advance(&mut ParseState::default(), content, true)
+                .unwrap_err();
+            let mut st = ParseState::default();
+            let bytewise = (1..=content.len())
+                .find_map(|end| {
+                    d.advance(&mut st, &content[..end], end == content.len())
+                        .err()
+                })
+                .expect("byte-wise feeding surfaced the bad line");
+            match (whole, bytewise) {
+                (
+                    TransformError::UnparsedLine {
+                        line_no: a,
+                        line: la,
+                        ..
+                    },
+                    TransformError::UnparsedLine {
+                        line_no: b,
+                        line: lb,
+                        ..
+                    },
+                ) => {
+                    assert_eq!((a, la.as_str()), (bad_no, bad), "{content:?}");
+                    assert_eq!((b, lb.as_str()), (bad_no, bad), "{content:?}");
+                }
+                other => panic!("unexpected errors {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn deeply_nested_xml_is_an_error_not_an_abort() {
+        let n = 1_000_000;
+        let content = format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        // Entry element `a` spans the whole document; `ts` appears nowhere,
+        // so only the whole-document check parses it.
+        for element in ["a", "ts"] {
+            let d = decl(ParserKind::XmlDirect(XmlMapping {
+                entry_element: element.into(),
+                entry_attrs: vec![],
+                leaf_attrs: vec![],
+            }));
+            assert!(
+                matches!(d.execute(&content), Err(TransformError::Xml(_))),
+                "{element}"
+            );
+        }
     }
 
     // --- static validation -------------------------------------------------

@@ -7,14 +7,18 @@
 //!    — maps every log file to its mScopeParser plus instructions: either
 //!    *line-sequence* rules (block formats like Collectl's brief mode) or
 //!    *string-token* patterns ([`Pattern`], the in-repo scanf-style engine).
-//! 2. **Adding semantics** ([`ParsingDeclaration::execute`]) — parsers wrap
-//!    each log line into `<entry>` elements with semantic field tags,
-//!    producing annotated XML ([`XmlNode`]); the upgraded SAR's XML output
-//!    takes the direct [`XmlMapping`] path instead.
-//! 3. **XMLtoCSV conversion** ([`convert_xml`]) — bottom-up schema
-//!    inference: column set = union of all tags, column type = narrowest
-//!    lattice type admitting every value; produces typed rows directly
-//!    ([`ConvertedTable`]), with CSV as an on-demand export
+//! 2. **Adding semantics** ([`ParsingDeclaration::advance`]) — the one
+//!    parser core: it wraps each log line (or XML entry element) into an
+//!    entry of semantic `(field, value)` pairs, consuming a file whole for
+//!    batch or poll by poll for [`StreamingTransformer`]; the upgraded
+//!    SAR's XML output takes the direct [`XmlMapping`] path. The paper's
+//!    annotated XML ([`XmlNode`]) is an on-demand export of these entries
+//!    ([`ParsingDeclaration::execute`]).
+//! 3. **XMLtoCSV conversion** — bottom-up schema inference over the
+//!    entries: column set = union of all field names, column type =
+//!    narrowest lattice type admitting every value; produces typed rows
+//!    directly ([`ConvertedTable`]). Annotated XML converts through the
+//!    same inference ([`convert_xml`]), and CSV is an on-demand export
 //!    ([`ConvertedTable::to_csv`]).
 //! 4. **Data import** ([`import_rows`], [`import_csv`]) — creates mScopeDB
 //!    tables on the fly and batch-loads the tuples, registering monitor /
@@ -63,7 +67,10 @@ mod xml;
 
 pub use convert::{convert_xml, ConvertedTable};
 pub use csv::{parse_csv, quote_field, write_csv, CsvError};
-pub use declare::{BlockSpec, LineMatcher, ParserKind, ParserSpec, ParsingDeclaration, XmlMapping};
+pub use declare::{
+    BlockSpec, Fields, LineMatcher, ParseState, ParserKind, ParserSpec, ParsingDeclaration,
+    XmlMapping,
+};
 pub use error::TransformError;
 pub use import::{import_csv, import_rows, normalize_cell, parse_cell};
 pub use parsers::{

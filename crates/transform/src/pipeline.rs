@@ -1,17 +1,19 @@
 //! The end-to-end mScopeDataTransformer pipeline (paper Fig. 3):
-//! parsing declarations → mScopeParsers → annotated XML → XMLtoCSV
-//! converter (schema inference) → Data Importer → mScopeDB.
+//! parsing declarations → mScopeParsers → schema inference → Data
+//! Importer → mScopeDB. The paper's annotated-XML stage is an export view
+//! ([`ParsingDeclaration::execute`], [`convert_xml`](crate::convert_xml))
+//! that reproduces this pipeline's converted tables exactly.
 //!
-//! The CPU-heavy front of the pipeline — log read → parse → XML → typed
-//! rows — is embarrassingly parallel across destination tables, so
+//! The CPU-heavy front of the pipeline — log read → parse → typed rows —
+//! is embarrassingly parallel across destination tables, so
 //! [`DataTransformer::run`] fans the table groups out over scoped worker
 //! threads fed by a small in-tree work queue, then loads the converted
 //! groups into the warehouse serially in deterministic table order. The
 //! report and the warehouse contents are byte-identical whether the run
 //! used one worker or many.
 
-use crate::convert::{convert_xml, ConvertedTable};
-use crate::declare::{self, ParsingDeclaration};
+use crate::convert::{convert_entries, ConvertedTable};
+use crate::declare::{self, ParseState, ParsingDeclaration};
 use crate::error::TransformError;
 use crate::import::{import_csv, import_rows};
 use crate::parsers::declaration_for;
@@ -86,23 +88,54 @@ struct GroupOutput {
     converted: ConvertedTable,
 }
 
-/// Runs the parse→convert front for one table group.
+/// Runs the parse→convert front for one table group: each file through
+/// the parser core in one call, then the group's entries through schema
+/// inference together.
 fn convert_group(
     decls: &[&ParsingDeclaration],
     store: &LogStore,
 ) -> Result<GroupOutput, TransformError> {
-    let mut docs = Vec::with_capacity(decls.len());
+    let mut files = Vec::with_capacity(decls.len());
     for d in decls {
         let content = store
             .read(&d.path)
             .ok_or_else(|| TransformError::MissingFile(d.path.clone()))?;
-        docs.push(d.execute(content)?);
+        let entries = d.advance(&mut ParseState::default(), content, true)?;
+        files.push((d.path.as_str(), entries));
     }
-    let converted = convert_xml(&docs)?;
+    let converted = convert_entries(&files)?;
     Ok(GroupOutput {
         files: decls.len(),
         converted,
     })
+}
+
+/// Registers every manifest file's monitor and log-file metadata, in
+/// manifest order — the last step of a batch run and of a streaming
+/// finish. A file that was declared but is absent from the store is an
+/// error, not a healthy zero-byte log.
+pub(crate) fn register_metadata(
+    manifest: &[LogFileMeta],
+    store: &LogStore,
+    db: &mut Database,
+) -> Result<(), TransformError> {
+    for m in manifest {
+        let kind = match m.kind {
+            MonitorKind::Event => "event",
+            MonitorKind::Resource => "resource",
+        };
+        // perf: one rendered node name per manifest entry, shared by both
+        // registrations below.
+        let node = m.node.to_string();
+        db.register_monitor(&m.monitor_id, &node, &m.tool, kind, m.period_ms as i64)
+            .map_err(TransformError::Db)?;
+        let bytes = store
+            .size(&m.path)
+            .ok_or_else(|| TransformError::MissingFile(m.path.clone()))? as i64;
+        db.register_log_file(&m.path, &node, &m.monitor_id, &m.format, bytes)
+            .map_err(TransformError::Db)?;
+    }
+    Ok(())
 }
 
 /// Locks a mutex, ignoring poisoning — a worker panic already propagates
@@ -168,8 +201,8 @@ impl DataTransformer {
         self.run_with(store, db, RunOptions::default())
     }
 
-    /// Runs the full pipeline: every declared file is parsed to annotated
-    /// XML; documents destined for the same table are converted together
+    /// Runs the full pipeline: every declared file is parsed to entries;
+    /// entries destined for the same table are converted together
     /// (so schema inference unions across replicas) into typed rows; rows
     /// are batch-loaded into the warehouse; and the static metadata tables
     /// (`monitors`, `log_files`) are populated.
@@ -267,25 +300,7 @@ impl DataTransformer {
             report.tables.push((table.to_string(), loaded));
         }
 
-        // Metadata registration. A file that was declared but is absent
-        // from the store is an error, not a healthy zero-byte log.
-        for m in &self.manifest {
-            let kind = match m.kind {
-                MonitorKind::Event => "event",
-                MonitorKind::Resource => "resource",
-            };
-            // perf: one rendered node name per manifest entry, shared by
-            // both registrations below (this used to render it twice).
-            let node = m.node.to_string();
-            db.register_monitor(&m.monitor_id, &node, &m.tool, kind, m.period_ms as i64)
-                .map_err(TransformError::Db)?;
-            let bytes = store
-                .size(&m.path)
-                .ok_or_else(|| TransformError::MissingFile(m.path.clone()))?
-                as i64;
-            db.register_log_file(&m.path, &node, &m.monitor_id, &m.format, bytes)
-                .map_err(TransformError::Db)?;
-        }
+        register_metadata(&self.manifest, store, db)?;
         Ok(report)
     }
 
@@ -384,6 +399,42 @@ mod tests {
         for (report, json) in &outputs[1..] {
             assert_eq!(report, &outputs[0].0, "report drift");
             assert_eq!(json, &outputs[0].1, "warehouse drift");
+        }
+    }
+
+    #[test]
+    fn xml_export_reproduces_the_converted_tables() {
+        for mut cfg in [
+            SystemConfig::rubbos_baseline(60),
+            SystemConfig::rubbos_replicated(60),
+        ] {
+            cfg.duration = SimDuration::from_secs(6);
+            cfg.warmup = SimDuration::from_secs(2);
+            cfg.workload.ramp_up = SimDuration::from_secs(1);
+            let out = Simulator::new(cfg).unwrap().run();
+            let art = MonitorSuite::standard(&out.config).render(&out);
+            let tr = DataTransformer::from_manifest(&art.manifest);
+            let mut by_table: BTreeMap<&str, Vec<&ParsingDeclaration>> = BTreeMap::new();
+            for d in tr.declarations() {
+                by_table.entry(&d.table).or_default().push(d);
+            }
+            for (table, decls) in by_table {
+                let hot = convert_group(&decls, &art.store).unwrap().converted;
+                let docs: Vec<_> = decls
+                    .iter()
+                    .map(|d| d.execute(art.store.read(&d.path).unwrap()).unwrap())
+                    .collect();
+                assert_eq!(crate::convert_xml(&docs).unwrap(), hot, "{table}");
+                let mut direct = Database::new();
+                import_rows(&mut direct, table, &hot.schema, hot.rows.clone()).unwrap();
+                let mut reloaded = Database::new();
+                import_csv(&mut reloaded, table, &hot.schema, &hot.to_csv()).unwrap();
+                assert_eq!(
+                    reloaded.require(table).unwrap(),
+                    direct.require(table).unwrap(),
+                    "{table}"
+                );
+            }
         }
     }
 

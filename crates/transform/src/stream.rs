@@ -2,14 +2,17 @@
 //!
 //! The batch pipeline ([`DataTransformer::run`]) needs every log file
 //! complete before it starts: schema inference is defined over *all*
-//! entries, so the converter reads whole files. [`StreamingTransformer`]
-//! is the incremental counterpart: it *tails* the declared files of a
-//! growing [`LogStore`] (tracking a consumed-byte offset per declaration),
-//! parses exactly the complete new lines / XML entries each
-//! [`poll`](StreamingTransformer::poll), and appends typed rows to the
-//! warehouse via [`Database::insert_batch`] as they arrive — the per-block
-//! zone maps and the sorted-on-append flag are maintained on append, so
-//! the warehouse is queryable mid-run.
+//! entries. [`StreamingTransformer`] is the incremental driver of the same
+//! core: it *tails* the declared files of a growing [`LogStore`], keeping
+//! one [`ParseState`] (consumed-byte offset, sticky context, open block)
+//! per declaration, and on each [`poll`](StreamingTransformer::poll) hands
+//! the grown file to [`ParsingDeclaration::advance`] — the parser batch
+//! runs once per file — which returns exactly the complete new lines / XML
+//! entries. The entries are folded into the same [`SchemaJoin`] batch's
+//! converter uses and appended to the warehouse via
+//! [`Database::insert_batch`] as they arrive; the per-block zone maps and
+//! the sorted-on-append flag are maintained on append, so the warehouse is
+//! queryable mid-run.
 //!
 //! ## Convergence with batch
 //!
@@ -19,403 +22,48 @@
 //! sees all values before choosing column types, while streaming must
 //! commit rows under the *running* type join and may later learn the join
 //! was too narrow (a column of all-digit hex request IDs infers `Int`
-//! until the first ID with a letter arrives). Three mechanisms close the
-//! gap:
-//!
-//! * **Effective schema.** A column whose running join is still `Null`
-//!   (no non-null value seen) is committed as `Text` — the same widening
-//!   batch applies to all-null columns at schema build.
-//! * **Raw retention.** Every committed cell remembers how to recover its
-//!   raw text ([`RawCell`]): most cells render back to their raw form
-//!   exactly (`Canonical`, no storage); the rest keep the raw string
-//!   (`Kept`). A column that reaches `Text` — the top of the lattice, its
-//!   type can never change again — drops its raws.
-//! * **Migration by rebuild.** When a chunk widens a column's effective
-//!   type (or introduces a new column), the committed prefix is rebuilt
-//!   under the new schema — unchanged columns copied, changed columns
-//!   re-parsed from their recovered raws — and swapped in with
-//!   [`Database::replace_table`]. Batch parses each cell once with the
-//!   final type; streaming re-parses the same raw text with the same
-//!   final type, so the values are byte-identical.
+//! until the first ID with a letter arrives). **Migration by replay**
+//! closes the gap: when a chunk widens a column's effective type (or
+//! introduces a new column), the table is rebuilt by running the parser
+//! core again over the text its files have delivered so far — the store
+//! keeps it — replaying the recorded arrival order, and typing every entry
+//! under the widened schema; the rebuilt table is swapped in with
+//! [`Database::replace_table`]. That is batch's own parse and typing of
+//! the same text, so the values are byte-identical. A column's type can
+//! only climb the lattice, so each table migrates a bounded number of
+//! times, and in practice only during its first polls.
 //!
 //! Row *order* is the one place streaming is allowed to differ: a table
 //! fed by several files (one resource monitor per node) receives rows in
 //! arrival-interleaved order rather than batch's file-concatenated order.
 //! Tables fed by a single file — every event table — come out
 //! byte-identical, rows included.
-//!
-//! XML-direct declarations are tailed by extracting each complete
-//! `<entry…>…</entry>` span from the unconsumed suffix and parsing it as
-//! a standalone fragment; [`finish`](StreamingTransformer::finish)
-//! re-parses the whole document once to surface the malformed-XML errors
-//! batch would have raised and to verify the span extraction saw every
-//! entry.
 
-use crate::declare::{ParserKind, ParserSpec, ParsingDeclaration, XmlMapping};
+use crate::convert::SchemaJoin;
+use crate::declare::{Fields, ParseState, ParsingDeclaration};
 use crate::error::TransformError;
-use crate::import::{normalize_cell, parse_cell};
-use crate::pipeline::{DataTransformer, TransformReport};
-use crate::xml::{self, XmlNode};
-use mscope_db::{Column, ColumnType, Database, DbError, Schema, Table, Value};
-use mscope_monitors::{LogFileMeta, LogStore, MonitorKind};
+use crate::pipeline::{register_metadata, DataTransformer, TransformReport};
+use mscope_db::{Database, DbError, Schema, Table};
+use mscope_monitors::{LogFileMeta, LogStore};
 use mscope_sim::parallel_map;
 
-/// One parsed entry: `(field, raw value)` pairs, constants first — the
-/// streaming equivalent of batch's `<entry>` element.
-type Fields = Vec<(String, String)>;
-
 // ---------------------------------------------------------------------------
-// Per-declaration incremental parser state
+// Table sinks: running schema inference + migration by replay
 // ---------------------------------------------------------------------------
-
-/// Incremental parse state for one declaration: how many bytes of the
-/// declared file have been consumed, plus the staged-parser carry-over
-/// (sticky context, open block, line counter).
-#[derive(Debug, Clone)]
-struct DeclState {
-    consumed: usize,
-    line_no: usize,
-    ctx: Vec<(String, String)>,
-    block: Option<(Fields, usize)>,
-    entries: usize,
-}
-
-impl DeclState {
-    fn new() -> DeclState {
-        DeclState {
-            consumed: 0,
-            line_no: 0,
-            ctx: Vec::new(),
-            block: None,
-            entries: 0,
-        }
-    }
-}
-
-fn unparsed(decl: &ParsingDeclaration, line_no: usize, line: &str) -> TransformError {
-    TransformError::UnparsedLine {
-        file: decl.path.clone(),
-        line_no,
-        line: line.to_string(),
-    }
-}
-
-/// Builds one entry's field list exactly as batch `make_entry` does:
-/// constants, then sticky context, then the captures.
-fn entry_fields(decl: &ParsingDeclaration, ctx: &[(String, String)], fields: Fields) -> Fields {
-    let mut e = Vec::with_capacity(decl.constants.len() + ctx.len() + fields.len());
-    // perf: constants and context are shared across entries — each entry
-    // owns one clone pair per inherited field, as in the batch parser.
-    e.extend(decl.constants.iter().cloned());
-    e.extend(ctx.iter().cloned());
-    e.extend(fields);
-    e
-}
-
-/// Consumes the unconsumed suffix of `content`, emitting entries for every
-/// complete unit (line or XML entry span). With `at_end` the trailing
-/// newline-less line is processed too (batch `str::lines` semantics).
-fn advance(
-    decl: &ParsingDeclaration,
-    st: &mut DeclState,
-    content: &str,
-    at_end: bool,
-) -> Result<Vec<Fields>, TransformError> {
-    match &decl.parser {
-        ParserKind::Staged(spec) => advance_staged(decl, spec, st, content, at_end),
-        ParserKind::XmlDirect(map) => advance_xml(decl, map, st, content),
-    }
-}
-
-fn advance_staged(
-    decl: &ParsingDeclaration,
-    spec: &ParserSpec,
-    st: &mut DeclState,
-    content: &str,
-    at_end: bool,
-) -> Result<Vec<Fields>, TransformError> {
-    let mut out = Vec::new();
-    let mut pos = st.consumed;
-    while let Some(nl) = content[pos..].find('\n') {
-        // A complete line: strip the newline and an optional \r, exactly
-        // as `str::lines` does for the batch parser.
-        let line = content[pos..pos + nl]
-            .strip_suffix('\r')
-            .unwrap_or(&content[pos..pos + nl]);
-        pos += nl + 1;
-        st.line_no += 1;
-        staged_line(decl, spec, st, line, &mut out)?;
-        st.consumed = pos;
-    }
-    if at_end && pos < content.len() {
-        // The final newline-less line. `str::lines` keeps a lone trailing
-        // \r here (it only strips \r before a \n), so no stripping.
-        let line = &content[pos..];
-        st.line_no += 1;
-        staged_line(decl, spec, st, line, &mut out)?;
-        st.consumed = content.len();
-    }
-    Ok(out)
-}
-
-/// One line through the staged engine — a faithful incremental transcription
-/// of the batch `run_staged` loop body (filters → block mode → context →
-/// records → unparsed).
-fn staged_line(
-    decl: &ParsingDeclaration,
-    spec: &ParserSpec,
-    st: &mut DeclState,
-    line: &str,
-    out: &mut Vec<Fields>,
-) -> Result<(), TransformError> {
-    if spec.filters.iter().any(|f| f.matches(line)) {
-        return Ok(());
-    }
-    if let Some(bs) = &spec.blocks {
-        if let Some(caps) = bs.marker.match_line(line) {
-            // New block begins; an incomplete previous one is dropped only
-            // at end-of-stream, mirroring a tool killed mid-record.
-            st.block = Some((caps, 0));
-            return Ok(());
-        }
-        if let Some((fields, idx)) = &mut st.block {
-            let Some(slot) = bs.lines.get(*idx) else {
-                return Err(unparsed(decl, st.line_no, line));
-            };
-            if let Some(pat) = slot {
-                let caps = pat
-                    .match_line(line)
-                    .ok_or_else(|| unparsed(decl, st.line_no, line))?;
-                fields.extend(caps);
-            }
-            *idx += 1;
-            if *idx == bs.lines.len() {
-                if let Some((fields, _)) = st.block.take() {
-                    out.push(entry_fields(decl, &[], fields));
-                }
-            }
-            return Ok(());
-        }
-    }
-    for pat in &spec.context {
-        if let Some(caps) = pat.match_line(line) {
-            for (k, v) in caps {
-                st.ctx.retain(|(ck, _)| *ck != k);
-                st.ctx.push((k, v));
-            }
-            return Ok(());
-        }
-    }
-    for pat in &spec.records {
-        if let Some(caps) = pat.match_line(line) {
-            out.push(entry_fields(decl, &st.ctx, caps));
-            return Ok(());
-        }
-    }
-    Err(unparsed(decl, st.line_no, line))
-}
-
-// ---------------------------------------------------------------------------
-// Incremental XML entry-span extraction
-// ---------------------------------------------------------------------------
-
-enum Span {
-    /// No entry element starts in the haystack.
-    None,
-    /// An entry element starts but is not yet complete — wait for more.
-    Incomplete,
-    /// A complete entry element occupies `[start, end)`.
-    Complete(usize, usize),
-}
-
-/// Scans one tag starting at `b[at] == b'<'` to its closing `>` (quote
-/// aware, so a `>` inside an attribute value does not end the tag).
-/// Returns the index after `>` and whether the tag was self-closing, or
-/// `None` when the buffer ends mid-tag.
-fn scan_tag(b: &[u8], at: usize) -> Option<(usize, bool)> {
-    let mut quote: Option<u8> = None;
-    let mut last = b'<';
-    let mut j = at;
-    while j < b.len() {
-        let c = b[j];
-        match quote {
-            Some(q) => {
-                if c == q {
-                    quote = None;
-                }
-            }
-            None => match c {
-                b'"' | b'\'' => quote = Some(c),
-                b'>' => return Some((j + 1, last == b'/')),
-                _ => {}
-            },
-        }
-        if quote.is_none() && !c.is_ascii_whitespace() {
-            last = c;
-        }
-        j += 1;
-    }
-    None
-}
-
-fn is_tag_delim(c: Option<&u8>) -> bool {
-    matches!(c, Some(b' ' | b'\t' | b'\n' | b'\r' | b'>' | b'/'))
-}
-
-/// Finds the next complete `<name …>…</name>` (or self-closing
-/// `<name …/>`) span in `hay`, tolerating prologue/epilogue text and
-/// nested same-name elements.
-fn find_entry_span(hay: &str, name: &str) -> Span {
-    let b = hay.as_bytes();
-    // perf: two small tag strings per scan call, not per byte.
-    let open = format!("<{name}");
-    let close = format!("</{name}>");
-    // Locate a candidate start: `<name` followed by a tag delimiter.
-    let mut i = 0;
-    let start = loop {
-        match hay[i..].find(&open) {
-            None => return Span::None,
-            Some(off) => {
-                let s = i + off;
-                let after = s + open.len();
-                if after >= b.len() {
-                    // Could still grow into `<name ` — wait for more bytes.
-                    return Span::Incomplete;
-                }
-                if is_tag_delim(b.get(after)) {
-                    break s;
-                }
-                i = s + 1;
-            }
-        }
-    };
-    // Walk tags until the candidate's subtree closes.
-    let mut depth = 0usize;
-    let mut j = start;
-    while j < b.len() {
-        if b[j] != b'<' {
-            j += 1;
-            continue;
-        }
-        if hay[j..].starts_with(&close) {
-            if depth <= 1 {
-                return Span::Complete(start, j + close.len());
-            }
-            depth -= 1;
-            j += close.len();
-            continue;
-        }
-        let opens_entry = hay[j..].starts_with(&open) && is_tag_delim(b.get(j + open.len()));
-        let Some((tag_end, self_closing)) = scan_tag(b, j) else {
-            return Span::Incomplete;
-        };
-        if opens_entry {
-            if self_closing {
-                if depth == 0 {
-                    return Span::Complete(j, tag_end);
-                }
-            } else {
-                depth += 1;
-            }
-        }
-        j = tag_end;
-    }
-    Span::Incomplete
-}
-
-fn advance_xml(
-    decl: &ParsingDeclaration,
-    map: &XmlMapping,
-    st: &mut DeclState,
-    content: &str,
-) -> Result<Vec<Fields>, TransformError> {
-    let mut out = Vec::new();
-    loop {
-        match find_entry_span(&content[st.consumed..], &map.entry_element) {
-            Span::None | Span::Incomplete => break,
-            Span::Complete(start, end) => {
-                let span = &content[st.consumed + start..st.consumed + end];
-                let el = xml::parse(span).map_err(TransformError::Xml)?;
-                out.push(xml_entry(decl, map, &el));
-                st.consumed += end;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Extracts one entry's fields from a parsed entry element — the batch
-/// `run_xml` per-entry body (entry attributes, then first-leaf attributes).
-fn xml_entry(decl: &ParsingDeclaration, map: &XmlMapping, el: &XmlNode) -> Fields {
-    let mut fields: Fields = Vec::with_capacity(map.entry_attrs.len() + map.leaf_attrs.len());
-    for (attr, field) in &map.entry_attrs {
-        if let Some(v) = el.get_attr(attr) {
-            // perf: extracted fields own their values — one pair per
-            // matched attribute, as in the batch XML path.
-            fields.push((field.clone(), v.to_string()));
-        }
-    }
-    for (elem, attr, field) in &map.leaf_attrs {
-        if let Some(leaf) = el.find_all(elem).first() {
-            if let Some(v) = leaf.get_attr(attr) {
-                // perf: extracted fields own their values — one pair per
-                // matched attribute, as in the batch XML path.
-                fields.push((field.clone(), v.to_string()));
-            }
-        }
-    }
-    entry_fields(decl, &[], fields)
-}
-
-// ---------------------------------------------------------------------------
-// Table sinks: running schema inference + migration by rebuild
-// ---------------------------------------------------------------------------
-
-/// How a committed cell's raw text is recoverable for a later re-parse.
-#[derive(Debug, Clone, PartialEq)]
-enum RawCell {
-    /// The field was absent from its entry — `Null` under any type.
-    Missing,
-    /// The raw text equals the committed value's [`Value::render`] output
-    /// exactly; nothing is stored, the render recovers it on demand.
-    Canonical,
-    /// The raw text diverges from the canonical rendering (padding,
-    /// trailing zeros, alternate bool casing) and is kept verbatim.
-    Kept(Box<str>),
-}
-
-/// Running inference for one column of a sink.
-#[derive(Debug)]
-struct SinkCol {
-    name: String,
-    /// Lattice join of every observed (normalized) value type; `Null`
-    /// while no non-null value has been seen.
-    join: ColumnType,
-    /// One [`RawCell`] per committed row; `None` once the join reached
-    /// `Text` (top of the lattice — the type can never change again).
-    raws: Option<Vec<RawCell>>,
-}
-
-/// A column's *effective* warehouse type: the running join, with the
-/// all-null → `Text` widening batch applies at schema build.
-fn effective(join: ColumnType) -> ColumnType {
-    if join == ColumnType::Null {
-        ColumnType::Text
-    } else {
-        join
-    }
-}
 
 /// Accumulates one destination table's entries, maintains the running
 /// schema, and keeps the warehouse table converged with it.
 #[derive(Debug)]
 struct TableSink {
     table: String,
-    /// Declarations feeding this table (the report's `files` share).
-    files: usize,
+    /// Indices of the declarations feeding this table.
+    decls: Vec<usize>,
     created: bool,
     committed: usize,
-    cols: Vec<SinkCol>,
+    join: SchemaJoin,
+    /// Arrival order of every entry so far, as `(declaration, count)` runs
+    /// — what a migration replays.
+    order: Vec<(usize, usize)>,
     buffered: Vec<Fields>,
 }
 
@@ -423,68 +71,48 @@ impl TableSink {
     fn new(table: &str) -> TableSink {
         TableSink {
             table: table.to_string(),
-            files: 0,
+            decls: Vec::new(),
             created: false,
             committed: 0,
-            cols: Vec::new(),
+            join: SchemaJoin::default(),
+            order: Vec::new(),
             buffered: Vec::new(),
         }
     }
 
-    /// Folds one entry into the running schema and buffers it for the next
-    /// flush. Mirrors batch pass 1: duplicate fields rejected, column set
-    /// unioned in first-appearance order, types joined through the same
-    /// `normalize_cell` / `Value::infer` rules.
-    fn add_entry(&mut self, entry: Fields) -> Result<(), TransformError> {
-        for (i, (k, _)) in entry.iter().enumerate() {
-            if entry[..i].iter().any(|(p, _)| p == k) {
-                return Err(TransformError::SchemaInference(format!(
-                    "duplicate field `{k}` within one entry for `{}`",
-                    self.table
-                )));
-            }
+    /// Folds declaration `di`'s new entries into the running schema and
+    /// buffers them for the next flush.
+    fn add_entries(
+        &mut self,
+        di: usize,
+        source: &str,
+        entries: Vec<Fields>,
+    ) -> Result<(), TransformError> {
+        for entry in &entries {
+            self.join.add(entry, source)?;
         }
-        for (k, v) in &entry {
-            let vt = match normalize_cell(v) {
-                None => ColumnType::Null,
-                Some(t) => Value::infer(t).column_type(),
-            };
-            match self.cols.iter_mut().find(|c| c.name == *k) {
-                Some(c) => c.join = c.join.unify(vt),
-                // perf: one name clone + one Missing backfill per *newly
-                // discovered column* (a handful per table, ever), not per
-                // entry — the steady state takes the update arm above.
-                None => self.cols.push(SinkCol {
-                    name: k.clone(),
-                    join: vt,
-                    // perf: a column first seen now was Missing in every
-                    // already-committed row — one backfill per new column.
-                    raws: Some(vec![RawCell::Missing; self.committed]),
-                }),
-            }
+        match self.order.last_mut() {
+            Some((d, n)) if *d == di => *n += entries.len(),
+            _ if entries.is_empty() => {}
+            _ => self.order.push((di, entries.len())),
         }
-        self.buffered.push(entry);
+        self.buffered.extend(entries);
         Ok(())
     }
 
-    fn effective_schema(&self) -> Result<Schema, TransformError> {
-        Schema::new(
-            self.cols
-                .iter()
-                .map(|c| Column::new(c.name.clone(), effective(c.join)))
-                .collect(),
-        )
-        .map_err(|e| TransformError::SchemaInference(e.to_string()))
-    }
-
-    /// Commits the buffered entries: migrates the warehouse table if the
-    /// effective schema moved, then materializes and batch-appends the new
-    /// rows.
-    fn flush(&mut self, db: &mut Database) -> Result<(), TransformError> {
+    /// Commits the buffered entries: appends them as typed rows, or
+    /// rebuilds the table if the effective schema moved.
+    fn flush(
+        &mut self,
+        db: &mut Database,
+        decls: &[ParsingDeclaration],
+        store: &LogStore,
+        at_end: bool,
+    ) -> Result<(), TransformError> {
         if self.buffered.is_empty() {
             return Ok(());
         }
-        let schema = self.effective_schema()?;
+        let schema = self.join.schema()?;
         if !self.created {
             db.ensure_table(&self.table, schema.clone())
                 .map_err(TransformError::Db)?;
@@ -495,65 +123,32 @@ impl TableSink {
             .schema()
             != &schema
         {
-            self.migrate(db, &schema)?;
+            return self.migrate(db, schema, decls, store, at_end);
         }
-        // perf: one rows vector per flush, sized to the buffered chunk.
-        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(self.buffered.len());
-        for entry in &self.buffered {
-            let mut row = Vec::with_capacity(self.cols.len());
-            let mut rawcells = Vec::with_capacity(self.cols.len());
-            for col in &self.cols {
-                match entry.iter().find(|(k, _)| *k == col.name) {
-                    None => {
-                        row.push(Value::Null);
-                        rawcells.push(RawCell::Missing);
-                    }
-                    Some((_, raw)) => {
-                        let v = parse_cell(&self.table, &col.name, effective(col.join), raw)?;
-                        let rc = if col.raws.is_some() {
-                            if *raw == v.render() {
-                                RawCell::Canonical
-                            } else {
-                                // perf: raw retained only when it diverges
-                                // from the canonical rendering — rare.
-                                RawCell::Kept(raw.as_str().into())
-                            }
-                        } else {
-                            RawCell::Missing // unused: raws already dropped
-                        };
-                        row.push(v);
-                        rawcells.push(rc);
-                    }
-                }
-            }
-            for (col, rc) in self.cols.iter_mut().zip(rawcells) {
-                if let Some(raws) = &mut col.raws {
-                    raws.push(rc);
-                }
-            }
-            rows.push(row);
-        }
-        let n = rows.len();
+        let rows = self
+            .buffered
+            .iter()
+            .map(|entry| self.join.row(entry, &self.table))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.committed += rows.len();
         db.insert_batch(&self.table, rows)
             .map_err(TransformError::Db)?;
-        self.committed += n;
         self.buffered.clear();
-        // Text is the top of the lattice: those columns can never change
-        // type again, so their raws are dead weight.
-        for col in &mut self.cols {
-            if col.join == ColumnType::Text {
-                col.raws = None;
-            }
-        }
         Ok(())
     }
 
-    /// Rebuilds the committed prefix under a new effective schema and swaps
-    /// it in. Unchanged columns are copied; columns whose effective type
-    /// moved are re-parsed from their recovered raw text — producing the
-    /// cells batch would have produced parsing the same raws with the
-    /// final type in the first place.
-    fn migrate(&mut self, db: &mut Database, new_schema: &Schema) -> Result<(), TransformError> {
+    /// Rebuilds the table under a new effective schema: re-parses every
+    /// feeding file as the store holds it now (which yields exactly the
+    /// entries its polls delivered), replays the recorded arrival order,
+    /// types each entry under `schema`, and swaps the result in.
+    fn migrate(
+        &mut self,
+        db: &mut Database,
+        schema: Schema,
+        decls: &[ParsingDeclaration],
+        store: &LogStore,
+        at_end: bool,
+    ) -> Result<(), TransformError> {
         let old = db.require(&self.table).map_err(TransformError::Db)?;
         if old.row_count() != self.committed {
             // Rows we did not ingest (a pre-existing table) cannot be
@@ -562,82 +157,37 @@ impl TableSink {
             return Err(TransformError::Db(DbError::SchemaMismatch {
                 table: self.table.clone(),
                 existing: old.schema().to_string(),
-                incoming: new_schema.to_string(),
+                incoming: schema.to_string(),
             }));
         }
-        let mut cols_data: Vec<Vec<Value>> = Vec::with_capacity(self.cols.len());
-        for col in &mut self.cols {
-            let new_ty = effective(col.join);
-            let old_ci = old.schema().index_of(&col.name);
-            let unchanged = old_ci.is_some_and(|ci| old.schema().columns()[ci].ty == new_ty);
-            match old_ci {
-                Some(_) if unchanged => {
-                    let vals = old.column(&col.name).map(<[Value]>::to_vec);
-                    let Some(vals) = vals else {
-                        return Err(TransformError::SchemaInference(format!(
-                            "migration of `{}` lost column `{}`",
-                            self.table, col.name
-                        )));
-                    };
-                    cols_data.push(vals);
-                }
-                Some(_) => {
-                    // Re-parse every committed cell from its recovered raw.
-                    let (Some(old_vals), Some(raws)) = (old.column(&col.name), col.raws.as_ref())
-                    else {
-                        // A column below the lattice top always holds raws,
-                        // and the index came from this very schema.
-                        return Err(TransformError::SchemaInference(format!(
-                            "migration of `{}` lost raws for column `{}`",
-                            self.table, col.name
-                        )));
-                    };
-                    let mut vals = Vec::with_capacity(self.committed);
-                    let mut nraws = Vec::with_capacity(self.committed);
-                    for (r, rc) in raws.iter().enumerate() {
-                        match rc {
-                            RawCell::Missing => {
-                                vals.push(Value::Null);
-                                nraws.push(RawCell::Missing);
-                            }
-                            RawCell::Canonical | RawCell::Kept(_) => {
-                                let recovered;
-                                let raw: &str = match rc {
-                                    RawCell::Kept(s) => s,
-                                    _ => {
-                                        recovered = old_vals[r].render();
-                                        &recovered
-                                    }
-                                };
-                                let v = parse_cell(&self.table, &col.name, new_ty, raw)?;
-                                nraws.push(if raw == v.render() {
-                                    RawCell::Canonical
-                                } else {
-                                    RawCell::Kept(raw.into())
-                                });
-                                vals.push(v);
-                            }
-                        }
-                    }
-                    col.raws = Some(nraws);
-                    cols_data.push(vals);
-                }
-                None => {
-                    // perf: one Null backfill per brand-new column, during a
-                    // migration that runs at most a few times per table.
-                    // Brand-new column: every committed row lacked it.
-                    cols_data.push(vec![Value::Null; self.committed]);
-                }
+        let mut replay = Vec::with_capacity(self.decls.len());
+        for &di in &self.decls {
+            let content = store.read(&decls[di].path).unwrap_or_default();
+            let entries = decls[di].advance(&mut ParseState::default(), content, at_end)?;
+            replay.push(entries.into_iter());
+        }
+        let expected = self.committed + self.buffered.len();
+        // perf: a migration runs a bounded number of times per table, and
+        // re-types the table's prefix once.
+        let mut rows = Vec::with_capacity(expected);
+        for &(di, n) in &self.order {
+            let at = self.decls.iter().position(|&d| d == di).unwrap_or(0);
+            for entry in replay[at].by_ref().take(n) {
+                rows.push(self.join.row(&entry, &self.table)?);
             }
         }
-        let mut rebuilt = Table::new(self.table.clone(), new_schema.clone());
-        // perf: migrations happen at most a few times per table, on the
-        // committed prefix only — the steady state never pays this.
-        let rows: Vec<Vec<Value>> = (0..self.committed)
-            .map(|r| cols_data.iter().map(|c| c[r].clone()).collect())
-            .collect();
+        if rows.len() != expected {
+            return Err(TransformError::SchemaInference(format!(
+                "replay of `{}` yielded {} entries, expected {expected}",
+                self.table,
+                rows.len()
+            )));
+        }
+        let mut rebuilt = Table::new(self.table.clone(), schema);
         rebuilt.push_batch(rows).map_err(TransformError::Db)?;
         db.replace_table(rebuilt).map_err(TransformError::Db)?;
+        self.committed = expected;
+        self.buffered.clear();
         Ok(())
     }
 }
@@ -654,7 +204,7 @@ impl TableSink {
 pub struct StreamingTransformer {
     declarations: Vec<ParsingDeclaration>,
     manifest: Vec<LogFileMeta>,
-    states: Vec<DeclState>,
+    states: Vec<ParseState>,
     sink_of: Vec<usize>,
     sinks: Vec<TableSink>,
 }
@@ -692,10 +242,10 @@ impl StreamingTransformer {
                 tables.binary_search(&d.table.as_str()).unwrap_or(0)
             })
             .collect();
-        for &si in &sink_of {
-            sinks[si].files += 1;
+        for (di, &si) in sink_of.iter().enumerate() {
+            sinks[si].decls.push(di);
         }
-        let states = declarations.iter().map(|_| DeclState::new()).collect();
+        let states = vec![ParseState::default(); declarations.len()];
         StreamingTransformer {
             declarations,
             manifest,
@@ -707,7 +257,7 @@ impl StreamingTransformer {
 
     /// Entries ingested so far across all tables.
     pub fn entries_seen(&self) -> usize {
-        self.states.iter().map(|s| s.entries).sum()
+        self.states.iter().map(ParseState::entries).sum()
     }
 
     /// Parses every declaration's unconsumed suffix. Results (and the
@@ -722,7 +272,7 @@ impl StreamingTransformer {
     ) -> Result<Vec<Vec<Fields>>, TransformError> {
         let decls = &self.declarations;
         let states = &self.states;
-        let results: Vec<(DeclState, Result<Vec<Fields>, TransformError>)> =
+        let results: Vec<(ParseState, Result<Vec<Fields>, TransformError>)> =
             parallel_map(decls.len(), workers.max(1), |di| {
                 let decl = &decls[di];
                 let mut st = states[di].clone();
@@ -731,11 +281,8 @@ impl StreamingTransformer {
                     // it is only an error if still absent at the end.
                     None if !at_end => Ok(Vec::new()),
                     None => Err(TransformError::MissingFile(decl.path.clone())),
-                    Some(content) => advance(decl, &mut st, content, at_end),
+                    Some(content) => decl.advance(&mut st, content, at_end),
                 };
-                if let Ok(entries) = &r {
-                    st.entries += entries.len();
-                }
                 (st, r)
             });
         let mut out = Vec::with_capacity(results.len());
@@ -758,15 +305,19 @@ impl StreamingTransformer {
         }
     }
 
-    fn apply(&mut self, parsed: Vec<Vec<Fields>>, db: &mut Database) -> Result<(), TransformError> {
+    fn apply(
+        &mut self,
+        parsed: Vec<Vec<Fields>>,
+        store: &LogStore,
+        db: &mut Database,
+        at_end: bool,
+    ) -> Result<(), TransformError> {
         for (di, entries) in parsed.into_iter().enumerate() {
-            let sink = &mut self.sinks[self.sink_of[di]];
-            for entry in entries {
-                sink.add_entry(entry)?;
-            }
+            let source = &self.declarations[di].path;
+            self.sinks[self.sink_of[di]].add_entries(di, source, entries)?;
         }
         for sink in &mut self.sinks {
-            sink.flush(db)?;
+            sink.flush(db, &self.declarations, store, at_end)?;
         }
         Ok(())
     }
@@ -798,11 +349,11 @@ impl StreamingTransformer {
         workers: usize,
     ) -> Result<(), TransformError> {
         let parsed = self.parse_new(store, workers, false)?;
-        self.apply(parsed, db)
+        self.apply(parsed, store, db, false)
     }
 
-    /// Drains the final partial lines, validates the XML-direct documents,
-    /// creates tables for zero-entry declarations, registers the monitor /
+    /// Drains the final partial lines, validates the XML-direct documents
+    /// (see [`ParsingDeclaration::advance`]), creates tables for zero-entry declarations, registers the monitor /
     /// log-file metadata (manifest order, as batch), and returns the same
     /// [`TransformReport`] the batch pipeline computes. Incomplete trailing
     /// blocks are dropped, mirroring batch end-of-file behaviour.
@@ -817,60 +368,24 @@ impl StreamingTransformer {
         db: &mut Database,
     ) -> Result<TransformReport, TransformError> {
         let parsed = self.parse_new(store, 1, true)?;
-        self.apply(parsed, db)?;
-
-        // The span extractor only ever sees complete entries; re-parse each
-        // XML document once to surface malformed-XML errors exactly as
-        // batch would, and to prove the extraction missed nothing.
-        for (di, decl) in self.declarations.iter().enumerate() {
-            if let ParserKind::XmlDirect(map) = &decl.parser {
-                let content = store
-                    .read(&decl.path)
-                    .ok_or_else(|| TransformError::MissingFile(decl.path.clone()))?;
-                let doc = xml::parse(content).map_err(TransformError::Xml)?;
-                let in_doc = doc.find_all(&map.entry_element).len();
-                if in_doc != self.states[di].entries {
-                    return Err(TransformError::SchemaInference(format!(
-                        "streaming extraction of `{}` saw {} entries but the document holds {}",
-                        decl.path, self.states[di].entries, in_doc
-                    )));
-                }
-            }
-        }
+        self.apply(parsed, store, db, true)?;
 
         // Zero-entry tables still materialize (batch converts an empty
         // document set into an empty schema and ensures the table).
         for sink in &mut self.sinks {
             if !sink.created {
-                let schema = sink.effective_schema()?;
+                let schema = sink.join.schema()?;
                 db.ensure_table(&sink.table, schema)
                     .map_err(TransformError::Db)?;
                 sink.created = true;
             }
         }
 
-        // Metadata registration, manifest order — identical to batch.
-        for m in &self.manifest {
-            let kind = match m.kind {
-                MonitorKind::Event => "event",
-                MonitorKind::Resource => "resource",
-            };
-            // perf: one rendered node name per manifest entry, shared by
-            // both registrations below — same shape as the batch loop.
-            let node = m.node.to_string();
-            db.register_monitor(&m.monitor_id, &node, &m.tool, kind, m.period_ms as i64)
-                .map_err(TransformError::Db)?;
-            let bytes = store
-                .size(&m.path)
-                .ok_or_else(|| TransformError::MissingFile(m.path.clone()))?
-                as i64;
-            db.register_log_file(&m.path, &node, &m.monitor_id, &m.format, bytes)
-                .map_err(TransformError::Db)?;
-        }
+        register_metadata(&self.manifest, store, db)?;
 
         let mut report = TransformReport::default();
         for sink in &self.sinks {
-            report.files += sink.files;
+            report.files += sink.decls.len();
             report.entries += sink.committed;
             // perf: one owned table name per loaded table, once at finish.
             report.tables.push((sink.table.clone(), sink.committed));
@@ -897,9 +412,9 @@ impl DataTransformer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::declare::ParserSpec;
+    use crate::declare::{ParserKind, ParserSpec, XmlMapping};
     use crate::pattern::{Pattern, Tok};
-    use mscope_db::ValueKey;
+    use mscope_db::{ColumnType, Value, ValueKey};
     use mscope_monitors::MonitorSuite;
     use mscope_ntier::{Simulator, SystemConfig};
     use mscope_sim::SimDuration;

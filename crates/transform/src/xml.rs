@@ -5,7 +5,11 @@
 //! field tags; the XMLtoCSV converter then consumes that XML. The upgraded
 //! SAR monitor also emits XML directly. This module implements the subset
 //! both sides need — elements, attributes, text, self-closing tags, and the
-//! five standard entity escapes — with strict, fail-fast parsing.
+//! five standard entity escapes — with strict, fail-fast parsing. Nesting
+//! is bounded by [`MAX_DEPTH`], so hostile input yields an [`XmlError`]
+//! instead of exhausting the stack. [`EntrySpans`] finds complete entry
+//! elements in a growing document without parsing it, which is how the
+//! XML-direct parser consumes a log incrementally.
 
 use std::fmt;
 
@@ -184,19 +188,24 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// Deepest element nesting [`parse`] accepts. The SAR XML renderer nests
+/// six levels and annotated XML three; the bound keeps the recursive
+/// descent far from the stack limit of any thread.
+pub(crate) const MAX_DEPTH: usize = 256;
+
 /// Parses a document containing exactly one root element.
 ///
 /// # Errors
 ///
 /// [`XmlError`] on malformed input (unclosed tags, bad entities, trailing
-/// content, mismatched close tags).
+/// content, mismatched close tags, elements nested more than 256 deep).
 pub fn parse(input: &str) -> Result<XmlNode, XmlError> {
     let mut p = Parser {
         s: input.as_bytes(),
         pos: 0,
     };
     p.skip_ws_and_prolog()?;
-    let node = p.element()?;
+    let node = p.element(1)?;
     p.skip_ws();
     if p.pos != p.s.len() {
         return Err(XmlError::new("trailing content after root element"));
@@ -262,9 +271,14 @@ impl<'a> Parser<'a> {
         Ok(String::from_utf8_lossy(&self.s[start..self.pos]).into_owned())
     }
 
-    fn element(&mut self) -> Result<XmlNode, XmlError> {
+    fn element(&mut self, depth: usize) -> Result<XmlNode, XmlError> {
         if self.peek() != Some(b'<') {
             return Err(XmlError::new("expected `<`"));
+        }
+        if depth > MAX_DEPTH {
+            return Err(XmlError::new(format!(
+                "elements nested deeper than {MAX_DEPTH} levels"
+            )));
         }
         self.pos += 1;
         let name = self.name()?;
@@ -329,7 +343,7 @@ impl<'a> Parser<'a> {
                 let end = self.find("-->")?;
                 self.pos = end + 3;
             } else if self.peek() == Some(b'<') {
-                node.children.push(self.element()?);
+                node.children.push(self.element(depth + 1)?);
             } else {
                 let start = self.pos;
                 while let Some(c) = self.peek() {
@@ -346,6 +360,126 @@ impl<'a> Parser<'a> {
             }
         }
     }
+}
+
+/// Where the next entry element sits in a haystack ([`EntrySpans::find`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Span {
+    /// No entry element starts in the haystack.
+    None,
+    /// An entry element starts but is not yet complete — wait for more.
+    Incomplete,
+    /// A complete entry element occupies `[start, end)`.
+    Complete(usize, usize),
+}
+
+/// Finds complete `<name …>…</name>` (or self-closing `<name …/>`) spans
+/// in a growing document, tolerating prologue/epilogue text and nested
+/// same-name elements. The tag strings are built once per finder.
+pub(crate) struct EntrySpans {
+    open: String,
+    close: String,
+}
+
+impl EntrySpans {
+    /// A finder for elements named `name`.
+    pub(crate) fn new(name: &str) -> EntrySpans {
+        EntrySpans {
+            open: format!("<{name}"),
+            close: format!("</{name}>"),
+        }
+    }
+
+    /// The first entry span in `hay`.
+    pub(crate) fn find(&self, hay: &str) -> Span {
+        let (open, close) = (self.open.as_str(), self.close.as_str());
+        let b = hay.as_bytes();
+        // Locate a candidate start: `<name` followed by a tag delimiter.
+        let mut i = 0;
+        let start = loop {
+            match hay[i..].find(open) {
+                None => return Span::None,
+                Some(off) => {
+                    let s = i + off;
+                    let after = s + open.len();
+                    if after >= b.len() {
+                        // Could still grow into `<name ` — wait for more bytes.
+                        return Span::Incomplete;
+                    }
+                    if is_tag_delim(b.get(after)) {
+                        break s;
+                    }
+                    i = s + 1;
+                }
+            }
+        };
+        // Walk tags until the candidate's subtree closes.
+        let mut depth = 0usize;
+        let mut j = start;
+        while j < b.len() {
+            if b[j] != b'<' {
+                j += 1;
+                continue;
+            }
+            if hay[j..].starts_with(close) {
+                if depth <= 1 {
+                    return Span::Complete(start, j + close.len());
+                }
+                depth -= 1;
+                j += close.len();
+                continue;
+            }
+            let opens_entry = hay[j..].starts_with(open) && is_tag_delim(b.get(j + open.len()));
+            let Some((tag_end, self_closing)) = scan_tag(b, j) else {
+                return Span::Incomplete;
+            };
+            if opens_entry {
+                if self_closing {
+                    if depth == 0 {
+                        return Span::Complete(j, tag_end);
+                    }
+                } else {
+                    depth += 1;
+                }
+            }
+            j = tag_end;
+        }
+        Span::Incomplete
+    }
+}
+
+/// Scans one tag starting at `b[at] == b'<'` to its closing `>` (quote
+/// aware, so a `>` inside an attribute value does not end the tag).
+/// Returns the index after `>` and whether the tag was self-closing, or
+/// `None` when the buffer ends mid-tag.
+fn scan_tag(b: &[u8], at: usize) -> Option<(usize, bool)> {
+    let mut quote: Option<u8> = None;
+    let mut last = b'<';
+    let mut j = at;
+    while j < b.len() {
+        let c = b[j];
+        match quote {
+            Some(q) => {
+                if c == q {
+                    quote = None;
+                }
+            }
+            None => match c {
+                b'"' | b'\'' => quote = Some(c),
+                b'>' => return Some((j + 1, last == b'/')),
+                _ => {}
+            },
+        }
+        if quote.is_none() && !c.is_ascii_whitespace() {
+            last = c;
+        }
+        j += 1;
+    }
+    None
+}
+
+fn is_tag_delim(c: Option<&u8>) -> bool {
+    matches!(c, Some(b' ' | b'\t' | b'\n' | b'\r' | b'>' | b'/'))
 }
 
 #[cfg(test)]
@@ -413,6 +547,26 @@ mod tests {
         assert!(parse("<a/><b/>").is_err());
         assert!(parse("plain text").is_err());
         assert!(parse("<a x=1></a>").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        let nest = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(crate::parse_xml(&nest(MAX_DEPTH)).is_ok());
+        let err = crate::parse_xml(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        let err = crate::parse_xml(&nest(1_000_000)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+    }
+
+    #[test]
+    fn entry_spans_wait_for_complete_elements() {
+        let f = EntrySpans::new("e");
+        assert_eq!(f.find("<root><x/>"), Span::None);
+        assert_eq!(f.find("<root><e"), Span::Incomplete);
+        assert_eq!(f.find("<root><e a=\">\"><e/>"), Span::Incomplete);
+        assert_eq!(f.find("<root><e a=\">\"><e/></e>"), Span::Complete(6, 23));
+        assert_eq!(f.find("<r><entry/><e/>"), Span::Complete(11, 15));
     }
 
     #[test]
