@@ -71,7 +71,8 @@ pub fn declaration_findings() -> Vec<Finding> {
 /// produce: the four static mScopeDB tables plus, per destination table,
 /// the lattice join of every feeding declaration's
 /// [`declare::declared_columns`]. Columns whose type is statically unknown
-/// stay [`ColumnType::Null`]; the SQL checker defers on those.
+/// stay [`ColumnType::Null`](mscope_db::ColumnType::Null); the SQL
+/// checker defers on those.
 pub fn predicted_schemas() -> Vec<(String, Schema)> {
     let db = Database::new();
     let mut out: Vec<(String, Schema)> = mscope_db::STATIC_TABLES

@@ -9,7 +9,8 @@
 //! [`SystemConfig::presets`] or [`mscope_lint::FRONTS`] exactly, in
 //! either direction. The bench-smoke job's bench-delta guard is held to
 //! the same standard: every committed smoke baseline must be compared.
-//! The stand-alone benchmark package must be built and tested too.
+//! The stand-alone benchmark package must be built and tested too, and
+//! rustdoc must run with warnings denied.
 
 use mscope_ntier::SystemConfig;
 
@@ -120,6 +121,26 @@ fn ci_builds_and_tests_the_standalone_benchmark() {
             "ci.yml must run `{verb}` on perfbench/Cargo.toml"
         );
     }
+}
+
+#[test]
+fn build_and_test_denies_rustdoc_warnings() {
+    // Dangling intra-doc links only warn; the `build-and-test` job must
+    // run rustdoc with `-D warnings` so they fail CI.
+    let yml = ci_yml();
+    let job: Vec<&str> = yml
+        .lines()
+        .skip_while(|l| l.trim_end() != "  build-and-test:")
+        .skip(1)
+        .take_while(|l| l.is_empty() || l.starts_with("   "))
+        .collect();
+    assert!(
+        job.iter()
+            .any(|l| l.contains(r#"RUSTDOCFLAGS="-D warnings""#)
+                && l.contains("cargo doc --workspace --no-deps")),
+        "ci.yml's build-and-test job must run \
+         `RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps`"
+    );
 }
 
 #[test]

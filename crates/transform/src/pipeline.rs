@@ -48,7 +48,7 @@ const AUTO_PARALLEL_MIN_BYTES: u64 = 4 << 20;
 /// How a pipeline run executes: worker fan-out and load path. The default
 /// (`workers: 0`, direct load) sizes the fan-out to the work: the
 /// machine's parallelism for large runs, serial below
-/// [`AUTO_PARALLEL_MIN_BYTES`] of declared input.
+/// 4 MiB of declared input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunOptions {
     /// Worker threads for the convert stage; `0` picks automatically —

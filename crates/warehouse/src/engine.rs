@@ -1,17 +1,22 @@
-//! Compiled, indexed query execution over columnar tables.
+//! Compiled, indexed predicate scans and the hash index over columnar
+//! tables.
 //!
 //! The naive [`Predicate::eval`](crate::Predicate::eval) path re-resolves
 //! column names per row × per leaf (`Schema::index_of` is a linear scan).
-//! This module is the fast path behind `Table::filter`/`select`/joins:
+//! This module holds the scan half of the one executor that the `Table`
+//! verbs and the SQL planner share:
 //!
-//! * [`CompiledPredicate`] binds column names to column slices and clones
-//!   each comparison value **once** per query;
+//! * [`Node::compile`] is the only `Predicate` compiler: it binds column
+//!   names to column slices (with their zone maps and join side) and
+//!   clones each comparison value **once** per query. [`CompiledPredicate`]
+//!   scans one table with it; join residuals evaluate pairs with
+//!   [`Node::eval_pair`];
 //! * [`TableIndex`] keeps per-block zone maps (min/max/null counts per
 //!   [`DEFAULT_BLOCK_ROWS`]-row block) over numeric and timestamp columns,
 //!   plus a sorted flag maintained on append, so window predicates skip
 //!   whole blocks and binary-search within the survivors;
-//! * [`KeyIndex`] is a borrowed-key hash index for joins, built once from
-//!   the typed column slice;
+//! * [`KeyIndex`] is the one borrowed-key hash index, for joins (built
+//!   over a selection vector) and flow reconstruction;
 //! * [`scan_blocks`] fans block scans out over a [`WorkQueue`] with an
 //!   in-block-order merge, so output is byte-identical for any worker
 //!   count.
@@ -20,6 +25,7 @@
 //! query layer keeps as reference oracles (`filter_naive`,
 //! `inner_join_naive`).
 
+use crate::plan::Side;
 use crate::table::{Schema, Table};
 use crate::value::{ColumnType, Value};
 use crate::Predicate;
@@ -311,19 +317,27 @@ impl CmpOp {
     }
 }
 
+/// A column as a compiled leaf sees it: the join side its cells come
+/// from, the cells, and the column's zone map (if it carries one).
+pub(crate) type LeafCol<'t> = (Side, &'t [Value], Option<&'t ColumnIndex>);
+
 /// A compiled predicate node: column names already resolved to slices.
-enum Node<'t> {
+/// The one `Predicate` compiler — single-table scans evaluate rows with
+/// [`Node::eval`], join residuals evaluate pairs with [`Node::eval_pair`].
+pub(crate) enum Node<'t> {
     True,
     /// A leaf whose column does not exist — comparison is false for every
     /// row (matching the naive "filters are exploratory" semantics).
     False,
     Cmp {
+        side: Side,
         col: &'t [Value],
         idx: Option<&'t ColumnIndex>,
         op: CmpOp,
         v: Value,
     },
     Between {
+        side: Side,
         col: &'t [Value],
         idx: Option<&'t ColumnIndex>,
         lo: Value,
@@ -344,13 +358,27 @@ fn first_greater(col: &[Value], v: &Value) -> usize {
     col.partition_point(|c| c.total_cmp(v) != Ordering::Greater)
 }
 
+fn cmp_ok(c: &Value, op: CmpOp, v: &Value) -> bool {
+    !c.is_null() && op.ok(c.total_cmp(v))
+}
+
+fn between_ok(c: &Value, lo: &Value, hi: &Value) -> bool {
+    !c.is_null() && c.total_cmp(lo) != Ordering::Less && c.total_cmp(hi) == Ordering::Less
+}
+
 impl<'t> Node<'t> {
-    fn compile(table: &'t Table, pred: &Predicate) -> Node<'t> {
-        let leaf = |c: &str, op: CmpOp, v: &Value| match table.schema().index_of(c) {
+    /// Compiles `pred`, resolving each column name once through
+    /// `resolve`; a name it does not know compiles to [`Node::False`].
+    pub(crate) fn compile<F>(pred: &Predicate, resolve: &F) -> Node<'t>
+    where
+        F: Fn(&str) -> Option<LeafCol<'t>>,
+    {
+        let leaf = |c: &str, op: CmpOp, v: &Value| match resolve(c) {
             None => Node::False,
-            Some(ci) => Node::Cmp {
-                col: table.col(ci),
-                idx: table.table_index().col(ci),
+            Some((side, col, idx)) => Node::Cmp {
+                side,
+                col,
+                idx,
                 op,
                 v: v.clone(),
             },
@@ -363,38 +391,54 @@ impl<'t> Node<'t> {
             Predicate::Le(c, v) => leaf(c, CmpOp::Le, v),
             Predicate::Gt(c, v) => leaf(c, CmpOp::Gt, v),
             Predicate::Ge(c, v) => leaf(c, CmpOp::Ge, v),
-            Predicate::Between(c, lo, hi) => match table.schema().index_of(c) {
+            Predicate::Between(c, lo, hi) => match resolve(c) {
                 None => Node::False,
-                Some(ci) => Node::Between {
-                    col: table.col(ci),
-                    idx: table.table_index().col(ci),
+                Some((side, col, idx)) => Node::Between {
+                    side,
+                    col,
+                    idx,
                     lo: lo.clone(),
                     hi: hi.clone(),
                 },
             },
-            Predicate::And(ps) => Node::And(ps.iter().map(|p| Node::compile(table, p)).collect()),
-            Predicate::Or(ps) => Node::Or(ps.iter().map(|p| Node::compile(table, p)).collect()),
-            Predicate::Not(p) => Node::Not(Box::new(Node::compile(table, p))),
+            Predicate::And(ps) => Node::And(ps.iter().map(|p| Node::compile(p, resolve)).collect()),
+            Predicate::Or(ps) => Node::Or(ps.iter().map(|p| Node::compile(p, resolve)).collect()),
+            Predicate::Not(p) => Node::Not(Box::new(Node::compile(p, resolve))),
         }
     }
 
+    /// Evaluates row `i` of a single-table compile (sides are ignored).
     fn eval(&self, i: usize) -> bool {
         match self {
             Node::True => true,
             Node::False => false,
-            Node::Cmp { col, op, v, .. } => {
-                let c = &col[i];
-                !c.is_null() && op.ok(c.total_cmp(v))
-            }
-            Node::Between { col, lo, hi, .. } => {
-                let c = &col[i];
-                !c.is_null()
-                    && c.total_cmp(lo) != Ordering::Less
-                    && c.total_cmp(hi) == Ordering::Less
-            }
+            Node::Cmp { col, op, v, .. } => cmp_ok(&col[i], *op, v),
+            Node::Between { col, lo, hi, .. } => between_ok(&col[i], lo, hi),
             Node::And(ns) => ns.iter().all(|n| n.eval(i)),
             Node::Or(ns) => ns.iter().any(|n| n.eval(i)),
             Node::Not(n) => !n.eval(i),
+        }
+    }
+
+    /// Evaluates the join pair `(li, ri)`: each leaf reads the row of its
+    /// own side.
+    pub(crate) fn eval_pair(&self, li: usize, ri: usize) -> bool {
+        let at = |side: &Side| match side {
+            Side::Left => li,
+            Side::Right => ri,
+        };
+        match self {
+            Node::True => true,
+            Node::False => false,
+            Node::Cmp {
+                side, col, op, v, ..
+            } => cmp_ok(&col[at(side)], *op, v),
+            Node::Between {
+                side, col, lo, hi, ..
+            } => between_ok(&col[at(side)], lo, hi),
+            Node::And(ns) => ns.iter().all(|n| n.eval_pair(li, ri)),
+            Node::Or(ns) => ns.iter().any(|n| n.eval_pair(li, ri)),
+            Node::Not(n) => !n.eval_pair(li, ri),
         }
     }
 
@@ -439,7 +483,9 @@ impl<'t> Node<'t> {
         match self {
             Node::True => (0, n),
             Node::False => (0, 0),
-            Node::Cmp { col, idx, op, v } => {
+            Node::Cmp {
+                col, idx, op, v, ..
+            } => {
                 if !idx.is_some_and(ColumnIndex::sorted) {
                     return (0, n);
                 }
@@ -452,7 +498,9 @@ impl<'t> Node<'t> {
                     CmpOp::Ne => (0, n),
                 }
             }
-            Node::Between { col, idx, lo, hi } => {
+            Node::Between {
+                col, idx, lo, hi, ..
+            } => {
                 if !idx.is_some_and(ColumnIndex::sorted) {
                     return (0, n);
                 }
@@ -509,7 +557,10 @@ impl<'t> CompiledPredicate<'t> {
         CompiledPredicate {
             nrows: table.row_count(),
             block_rows: table.table_index().block_rows(),
-            node: Node::compile(table, pred),
+            node: Node::compile(pred, &|c: &str| {
+                let ci = table.schema().index_of(c)?;
+                Some((Side::Left, table.col(ci), table.table_index().col(ci)))
+            }),
         }
     }
 
@@ -720,8 +771,14 @@ pub struct KeyIndex<'a> {
 impl<'a> KeyIndex<'a> {
     /// Indexes every non-null value of `col` by row index.
     pub fn build(col: &'a [Value]) -> KeyIndex<'a> {
+        KeyIndex::from_cells(col.iter().enumerate())
+    }
+
+    /// Indexes the non-null `(row, cell)` pairs in the order given — over
+    /// a selection vector, the build side of a join.
+    pub(crate) fn from_cells(cells: impl IntoIterator<Item = (usize, &'a Value)>) -> KeyIndex<'a> {
         let mut map: HashMap<KeyRef<'a>, Vec<usize>> = HashMap::new();
-        for (i, v) in col.iter().enumerate() {
+        for (i, v) in cells {
             if let Some(k) = KeyRef::of(v) {
                 map.entry(k).or_default().push(i);
             }

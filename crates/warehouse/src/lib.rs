@@ -13,10 +13,12 @@
 //! * [`Schema`] / [`Table`] — columnar tables with checked inserts;
 //! * query layer — [`Predicate`] filters, projections, fixed-window
 //!   aggregation ([`AggFn`]), hash joins, sorting, grouping — everything
-//!   the analysis layer needs to reproduce the paper's figures;
-//! * compiled engine — [`CompiledPredicate`] (names/values bound once per
-//!   query), per-block zone maps with a sorted-timestamp flag,
-//!   [`KeyIndex`] hash joins, and a deterministic parallel block scan;
+//!   the analysis layer needs to reproduce the paper's figures. The verbs
+//!   are thin delegates to the same kernels the SQL planner runs on;
+//! * one executor — a single predicate compiler behind
+//!   [`CompiledPredicate`] (names/values bound once per query), per-block
+//!   zone maps with a sorted-timestamp flag, one [`KeyIndex`] hash index,
+//!   one accumulator, one sort, and a deterministic parallel block scan;
 //!   the naive row-at-a-time evaluators remain as reference oracles
 //!   ([`Table::filter_naive`], [`Table::inner_join_naive`]);
 //! * [`Database`] — the warehouse with static + dynamic tables.

@@ -5,13 +5,19 @@
 //! (§III-C): after mScopeDataTransformer loads everything into one place,
 //! researchers slice disk utilization per tier, join event records by
 //! request ID, and correlate series.
+//!
+//! Each verb is a short delegate: it resolves its column names and runs
+//! the kernels the SQL planner runs on — [`CompiledPredicate`] scans and
+//! the `vector` gather, window, join, sort and aggregate kernels. Only the
+//! reference oracles ([`Predicate::eval`], [`Table::filter_naive`],
+//! [`Table::inner_join_naive`]) walk rows here.
 
-use crate::engine::{self, CompiledPredicate};
+use crate::engine::CompiledPredicate;
 use crate::plan::Side;
 use crate::table::{Column, Schema, Table};
 use crate::value::{ColumnType, Value, ValueKey};
-use crate::DbError;
-use std::collections::{BTreeMap, HashMap};
+use crate::{vector, DbError};
+use std::collections::HashMap;
 
 /// A filter predicate over a row.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,20 +120,6 @@ mscope_serdes::json_enum!(AggFn {
     Last
 });
 
-fn fold(agg: AggFn, values: &[f64]) -> Option<f64> {
-    if agg == AggFn::Count {
-        return Some(values.len() as f64);
-    }
-    let last = *values.last()?;
-    Some(match agg {
-        AggFn::Mean => values.iter().sum::<f64>() / values.len() as f64,
-        AggFn::Max => values.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-        AggFn::Min => values.iter().cloned().fold(f64::INFINITY, f64::min),
-        AggFn::Sum => values.iter().sum(),
-        AggFn::Count | AggFn::Last => last,
-    })
-}
-
 impl Table {
     /// Rows matching `pred`, as a new table. Runs on the compiled engine
     /// ([`CompiledPredicate`]): names bound once, zone-map block skipping,
@@ -165,11 +157,7 @@ impl Table {
     pub fn select(&self, cols: &[&str], pred: &Predicate) -> Result<Table, DbError> {
         let idxs: Vec<usize> = cols
             .iter()
-            .map(|c| {
-                self.schema()
-                    .index_of(c)
-                    .ok_or_else(|| DbError::NoSuchColumn(c.to_string()))
-            })
+            .map(|c| self.require_col(c))
             .collect::<Result<_, _>>()?;
         let schema = Schema::new(
             idxs.iter()
@@ -177,60 +165,18 @@ impl Table {
                 .collect(),
         )?;
         let rows = CompiledPredicate::compile(self, pred).matching_rows_with(0);
-        let cols_data: Vec<Vec<Value>> = idxs
-            .iter()
-            .map(|&ci| rows.iter().map(|&r| self.col(ci)[r].clone()).collect())
-            .collect();
-        Ok(Table::from_parts(
-            self.name().to_string(),
-            schema,
-            cols_data,
-        ))
-    }
-
-    /// Shorthand: rows whose `time_col` lies in `[from, to)` (µs values,
-    /// works on Int or Timestamp columns). On a sorted Int/Timestamp
-    /// column this binary-searches the two boundaries instead of
-    /// scanning; otherwise it scans the typed column slice (still no
-    /// per-row name lookup).
-    pub fn time_range(&self, time_col: &str, from: i64, to: i64) -> Table {
-        let Some(ci) = self.schema().index_of(time_col) else {
-            return self.gather(self.name(), &[]);
-        };
-        let col = self.col(ci);
-        let ty = self.schema().columns()[ci].ty;
-        let sorted = self.table_index().col(ci).is_some_and(|c| c.sorted());
-        // The typed probes must match the column's value type: `as_i64`
-        // reads Int and Timestamp only, and `total_cmp` ranks Int below
-        // Timestamp, so a cross-typed probe would be wrong. Float columns
-        // (which may mix Int cells past `as_i64` with Float cells that
-        // never match) always take the scan path.
-        let probe: Option<fn(i64) -> Value> = match ty {
-            ColumnType::Int => Some(Value::Int),
-            ColumnType::Timestamp => Some(Value::Timestamp),
-            _ => None,
-        };
-        let rows: Vec<usize> = match probe {
-            Some(mk) if sorted => {
-                let lo =
-                    col.partition_point(|c| c.total_cmp(&mk(from)) == std::cmp::Ordering::Less);
-                let hi = col.partition_point(|c| c.total_cmp(&mk(to)) == std::cmp::Ordering::Less);
-                (lo..hi).collect()
-            }
-            _ => col
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.as_i64().map(|t| t >= from && t < to).unwrap_or(false))
-                .map(|(i, _)| i)
-                .collect(),
-        };
-        self.gather(self.name(), &rows)
+        let cols: Vec<&[Value]> = idxs.iter().map(|&ci| self.col(ci)).collect();
+        // One worker: the gather stays serial, as the planner-off
+        // baseline measures it.
+        let data = vector::gather_sel(&cols, &rows, 1);
+        Ok(Table::from_parts(self.name().to_string(), schema, data))
     }
 
     /// Fixed-window aggregation: buckets rows by `time_col / window_us`,
     /// aggregates `value_col` per bucket, and returns `(bucket_start_us,
     /// aggregate)` pairs in time order. Rows with null time or value are
-    /// skipped. This is the workhorse behind every per-interval figure.
+    /// skipped. This is the workhorse behind every per-interval figure;
+    /// it is [`Table::window_agg_where`] over every row.
     ///
     /// # Errors
     ///
@@ -243,51 +189,9 @@ impl Table {
         value_col: &str,
         agg: AggFn,
     ) -> Result<Vec<(i64, f64)>, DbError> {
-        if window_us <= 0 {
-            return Err(DbError::BadQuery("window must be positive".into()));
-        }
-        let tci = self
-            .schema()
-            .index_of(time_col)
-            .ok_or_else(|| DbError::NoSuchColumn(time_col.into()))?;
-        let vci = self
-            .schema()
-            .index_of(value_col)
-            .ok_or_else(|| DbError::NoSuchColumn(value_col.into()))?;
-        let (tcol, vcol) = (self.col(tci), self.col(vci));
-        let n = self.row_count();
-        let block_rows = self.table_index().block_rows();
-        let nblocks = n.div_ceil(block_rows);
-        // Per-block partial buckets merged in block order: each bucket's
-        // value vector ends up in exactly row order, so Mean/Sum addition
-        // order and Last semantics are identical for any worker count.
-        // BTreeMap (not HashMap) so bucket iteration order is the key
-        // order by construction — hash order must never reach output.
-        let partials = engine::scan_blocks(nblocks, engine::resolve_workers(0, n), |b| {
-            let (s, e) = (b * block_rows, ((b + 1) * block_rows).min(n));
-            let mut local: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-            for i in s..e {
-                let (Some(t), Some(v)) = (tcol[i].as_i64(), vcol[i].as_f64()) else {
-                    continue;
-                };
-                local
-                    .entry(t.div_euclid(window_us) * window_us)
-                    .or_default()
-                    .push(v);
-            }
-            local
-        });
-        let mut buckets: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-        for p in partials {
-            for (k, mut vs) in p {
-                buckets.entry(k).or_default().append(&mut vs);
-            }
-        }
-        // BTreeMap iteration is already bucket-key order — no final sort.
-        Ok(buckets
-            .into_iter()
-            .filter_map(|(k, vs)| fold(agg, &vs).map(|v| (k, v)))
-            .collect())
+        let (_, series) =
+            self.window_agg_where(&Predicate::True, time_col, window_us, value_col, agg)?;
+        Ok(series)
     }
 
     /// Fused filter + fixed-window aggregation: equivalent to
@@ -311,32 +215,11 @@ impl Table {
         if window_us <= 0 {
             return Err(DbError::BadQuery("window must be positive".into()));
         }
-        let tci = self
-            .schema()
-            .index_of(time_col)
-            .ok_or_else(|| DbError::NoSuchColumn(time_col.into()))?;
-        let vci = self
-            .schema()
-            .index_of(value_col)
-            .ok_or_else(|| DbError::NoSuchColumn(value_col.into()))?;
-        let (tcol, vcol) = (self.col(tci), self.col(vci));
+        let tci = self.require_col(time_col)?;
+        let vci = self.require_col(value_col)?;
         let rows = CompiledPredicate::compile(self, pred).matching_rows_with(0);
-        // BTreeMap so bucket emission is key-ordered by construction.
-        let mut buckets: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-        for &i in &rows {
-            let (Some(t), Some(v)) = (tcol[i].as_i64(), vcol[i].as_f64()) else {
-                continue;
-            };
-            buckets
-                .entry(t.div_euclid(window_us) * window_us)
-                .or_default()
-                .push(v);
-        }
-        let out: Vec<(i64, f64)> = buckets
-            .into_iter()
-            .filter_map(|(k, vs)| fold(agg, &vs).map(|v| (k, v)))
-            .collect();
-        Ok((rows.len(), out))
+        let series = vector::window(self.col(tci), self.col(vci), &rows, window_us, agg);
+        Ok((rows.len(), series))
     }
 
     /// Hash inner join on `self.left_col == other.right_col`. Output columns
@@ -355,14 +238,13 @@ impl Table {
     ) -> Result<Table, DbError> {
         let (lci, rci, schema) = self.join_parts(other, left_col, right_col)?;
         // Stats-driven build side: hash the smaller input, probe the
-        // larger ([`crate::vector::join_pairs`] restores left-major
+        // larger (`vector::join_pairs` restores left-major
         // output order either way), then materialize the output with one
         // typed per-column gather instead of a row-at-a-time cell walk.
         let build_left = self.row_count() < other.row_count();
         let lsel: Vec<usize> = (0..self.row_count()).collect();
         let rsel: Vec<usize> = (0..other.row_count()).collect();
-        let pairs =
-            crate::vector::join_pairs(self.col(lci), &lsel, other.col(rci), &rsel, build_left);
+        let pairs = vector::join_pairs(self.col(lci), &lsel, other.col(rci), &rsel, build_left);
         let mut srcs: Vec<(Side, &[Value])> = Vec::with_capacity(schema.len());
         for ci in 0..self.schema().len() {
             srcs.push((Side::Left, self.col(ci)));
@@ -370,7 +252,7 @@ impl Table {
         for ci in 0..other.schema().len() {
             srcs.push((Side::Right, other.col(ci)));
         }
-        let cols = crate::vector::gather_pair_cols(&srcs, &pairs, 0);
+        let cols = vector::gather_pair_cols(&srcs, &pairs, 0);
         Ok(Table::from_parts(
             format!("{}_x_{}", self.name(), other.name()),
             schema,
@@ -437,14 +319,8 @@ impl Table {
         left_col: &str,
         right_col: &str,
     ) -> Result<(usize, usize, Schema), DbError> {
-        let lci = self
-            .schema()
-            .index_of(left_col)
-            .ok_or_else(|| DbError::NoSuchColumn(left_col.into()))?;
-        let rci = other
-            .schema()
-            .index_of(right_col)
-            .ok_or_else(|| DbError::NoSuchColumn(right_col.into()))?;
+        let lci = self.require_col(left_col)?;
+        let rci = other.require_col(right_col)?;
         let mut columns = self.schema().columns().to_vec();
         for c in other.schema().columns() {
             let name = if self.schema().index_of(&c.name).is_some() {
@@ -473,20 +349,9 @@ impl Table {
     ///
     /// [`DbError::NoSuchColumn`] if `col` is missing.
     pub fn order_by(&self, col: &str, ascending: bool) -> Result<Table, DbError> {
-        let ci = self
-            .schema()
-            .index_of(col)
-            .ok_or_else(|| DbError::NoSuchColumn(col.into()))?;
-        let keys = self.col(ci);
+        let ci = self.require_col(col)?;
         let mut order: Vec<usize> = (0..self.row_count()).collect();
-        order.sort_by(|&a, &b| {
-            let o = keys[a].total_cmp(&keys[b]);
-            if ascending {
-                o
-            } else {
-                o.reverse()
-            }
-        });
+        vector::sort_by_key(&mut order, self.col(ci), ascending, |&i| i);
         Ok(self.gather(self.name(), &order))
     }
 
@@ -497,14 +362,8 @@ impl Table {
     ///
     /// [`DbError::NoSuchColumn`] for missing columns.
     pub fn group_by(&self, key_col: &str, value_col: &str, agg: AggFn) -> Result<Table, DbError> {
-        let kci = self
-            .schema()
-            .index_of(key_col)
-            .ok_or_else(|| DbError::NoSuchColumn(key_col.into()))?;
-        let vci = self
-            .schema()
-            .index_of(value_col)
-            .ok_or_else(|| DbError::NoSuchColumn(value_col.into()))?;
+        let kci = self.require_col(key_col)?;
+        let vci = self.require_col(value_col)?;
         // Tolerate key_col == value_col (e.g. COUNT over the key itself) by
         // renaming the key column.
         let key_name = if key_col == value_col {
@@ -519,7 +378,7 @@ impl Table {
         // One pass through the vectorized batch aggregator: borrowed
         // keys, streaming accumulators, deterministic key-sorted output.
         let rows: Vec<usize> = (0..self.row_count()).collect();
-        Ok(crate::vector::aggregate(
+        Ok(vector::aggregate(
             &[self.col(kci)],
             &[(agg, Some(self.col(vci)))],
             &rows,
@@ -527,6 +386,13 @@ impl Table {
             &format!("{}_by_{key_col}", self.name()),
             &schema,
         ))
+    }
+
+    /// Index of a column a verb requires.
+    fn require_col(&self, name: &str) -> Result<usize, DbError> {
+        self.schema()
+            .index_of(name)
+            .ok_or_else(|| DbError::NoSuchColumn(name.into()))
     }
 
     /// Borrowed numeric view of a column: lazily yields each value
@@ -620,13 +486,6 @@ mod tests {
                 .row_count(),
             0
         );
-    }
-
-    #[test]
-    fn time_range_half_open() {
-        let t = sample_table();
-        assert_eq!(t.time_range("t", 0, 100).row_count(), 4);
-        assert_eq!(t.time_range("t", 50, 101).row_count(), 4);
     }
 
     #[test]

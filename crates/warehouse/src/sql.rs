@@ -30,9 +30,9 @@
 //! `ORDER BY` see the *result* schema (group keys render as text,
 //! aggregates as floats).
 //!
-//! Parsing produces a [`ParsedQuery`](crate::plan) which the
-//! stats-driven planner ([`crate::plan`]) lowers to a physical plan and
-//! the vectorized executor ([`crate::vector`]) runs; `EXPLAIN` returns
+//! Parsing produces a `ParsedQuery`, which the stats-driven planner
+//! (the private `plan` module) lowers to a physical plan and the
+//! vectorized executor (`vector`) runs; `EXPLAIN` returns
 //! the plan itself as a one-column table. The same resolution pass backs
 //! [`check_with`], so the static checker and the executor agree by
 //! construction.
@@ -532,9 +532,9 @@ impl Database {
     /// Parses and executes a SQL-subset query, returning the result as a
     /// fresh [`Table`].
     ///
-    /// The query is lowered through the stats-driven planner
-    /// ([`crate::plan`]) and run on the vectorized columnar executor
-    /// ([`crate::vector`]). Prefixing the query with `EXPLAIN` returns
+    /// The query is lowered through the stats-driven planner and run on
+    /// the vectorized columnar executor — the same kernels the [`Table`]
+    /// verbs run on. Prefixing the query with `EXPLAIN` returns
     /// the chosen physical plan as a one-column `plan` table instead of
     /// executing it.
     ///
@@ -1204,5 +1204,111 @@ mod tests {
             .unwrap();
         let text = mscope_serdes::to_string(&grouped);
         assert!(text.contains("elided"), "{text}");
+    }
+
+    /// The bit pattern of a Float cell (panics on any other cell).
+    fn float_bits(t: &Table, row: usize, col: &str) -> u64 {
+        match t.cell(row, col) {
+            Some(Value::Float(f)) => f.to_bits(),
+            other => panic!("{col}: want a Float cell, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn negative_zero_sums_agree_across_paths() {
+        // Two rows of `-0.0`: every SUM/AVG path folds them to `-0.0`, the
+        // value `Iterator::sum` gives — not the `+0.0` a `+0.0` start makes.
+        let mut db = Database::new();
+        let schema = Schema::new(vec![
+            Column::new("t", ColumnType::Int),
+            Column::new("k", ColumnType::Text),
+            Column::new("v", ColumnType::Float),
+        ])
+        .unwrap();
+        db.create_table("m", schema).unwrap();
+        for t in [0, 1] {
+            db.insert("m", vec![Value::Int(t), "a".into(), Value::Float(-0.0)])
+                .unwrap();
+        }
+        let neg = (-0.0f64).to_bits();
+        let m = db.require("m").unwrap();
+        for agg in [AggFn::Sum, AggFn::Mean] {
+            let (_, fused) = m
+                .window_agg_where(&Predicate::True, "t", 10, "v", agg)
+                .unwrap();
+            for series in [m.window_agg("t", 10, "v", agg).unwrap(), fused] {
+                assert_eq!(series.len(), 1, "{agg:?}");
+                assert_eq!(series[0].1.to_bits(), neg, "{agg:?}");
+            }
+        }
+        assert_eq!(
+            float_bits(&m.group_by("k", "v", AggFn::Sum).unwrap(), 0, "v"),
+            neg
+        );
+        assert_eq!(float_bits(&m.describe(), 2, "mean"), neg);
+        for (sql, col) in [
+            ("SELECT k, SUM(v) FROM m GROUP BY k", "v"),
+            ("SELECT k, AVG(v) FROM m GROUP BY k", "v"),
+            ("SELECT SUM(v) FROM m", "sum_v"),
+            ("SELECT AVG(v) FROM m", "avg_v"),
+        ] {
+            for optimize in [true, false] {
+                let opts = QueryOptions {
+                    workers: 0,
+                    optimize,
+                };
+                let t = db.query_opts(sql, opts).unwrap();
+                assert_eq!(float_bits(&t, 0, col), neg, "{sql} (optimize={optimize})");
+            }
+        }
+    }
+
+    #[test]
+    fn join_residual_naming_a_missing_column_keeps_every_pair() {
+        // `zz` exists on neither side, so its leaf is false, the AND is
+        // false and the NOT keeps every joined pair. The conjunct spans
+        // both sides, so it runs as the residual over join pairs.
+        let mut db = Database::new();
+        let ev = Schema::new(vec![
+            Column::new("ts", ColumnType::Timestamp),
+            Column::new("num", ColumnType::Int),
+            Column::new("tag", ColumnType::Text),
+        ])
+        .unwrap();
+        db.create_table("ev", ev).unwrap();
+        for (ts, num, tag) in [(0, 1, "a"), (1, 2, "b"), (2, 1, "a"), (3, 1, "c")] {
+            let row = vec![Value::Timestamp(ts), Value::Int(num), tag.into()];
+            db.insert("ev", row).unwrap();
+        }
+        let dim = Schema::new(vec![
+            Column::new("tag", ColumnType::Text),
+            Column::new("w", ColumnType::Int),
+        ])
+        .unwrap();
+        db.create_table("dim", dim).unwrap();
+        for (tag, w) in [("a", 2), ("b", 2), ("a", 5)] {
+            db.insert("dim", vec![tag.into(), Value::Int(w)]).unwrap();
+        }
+        let sql = "SELECT ts, w FROM ev JOIN dim ON tag = tag \
+                   WHERE NOT (num = 1 AND w = 2 AND zz = 3)";
+        let explain = db.query(&format!("EXPLAIN {sql}")).unwrap();
+        assert!(mscope_serdes::to_string(&explain).contains("Filter"));
+        let all = db
+            .query("SELECT ts, w FROM ev JOIN dim ON tag = tag")
+            .unwrap();
+        assert_eq!(all.row_count(), 5);
+        let expected = mscope_serdes::to_string(&all);
+        for optimize in [true, false] {
+            for workers in [0, 1, 2, 8] {
+                let got = db
+                    .query_opts(sql, QueryOptions { workers, optimize })
+                    .unwrap();
+                assert_eq!(
+                    mscope_serdes::to_string(&got),
+                    expected,
+                    "optimize={optimize}, workers={workers}"
+                );
+            }
+        }
     }
 }

@@ -2,7 +2,8 @@
 
 use crate::engine::{TableIndex, DEFAULT_BLOCK_ROWS};
 use crate::value::{ColumnType, Value};
-use crate::DbError;
+use crate::vector::{finish, Acc};
+use crate::{AggFn, DbError};
 use std::fmt;
 
 /// One column definition.
@@ -592,26 +593,10 @@ impl Table {
                 keys.dedup();
                 keys.len()
             };
-            // Single streaming pass over the numeric view — no
-            // intermediate `Vec<f64>`; fold order matches the old
-            // collect-then-fold shape bit for bit (row order).
-            let (mut n, mut sum) = (0usize, 0.0f64);
-            let (mut mn, mut mx) = (f64::INFINITY, f64::NEG_INFINITY);
-            for v in values.iter().filter_map(Value::as_f64) {
-                n += 1;
-                sum += v;
-                mn = mn.min(v);
-                mx = mx.max(v);
-            }
-            let (min, max, mean) = if n == 0 {
-                (Value::Null, Value::Null, Value::Null)
-            } else {
-                (
-                    Value::Float(mn),
-                    Value::Float(mx),
-                    Value::Float(sum / n as f64),
-                )
-            };
+            // One streaming pass over the numeric view, through the same
+            // accumulator the query layer folds with.
+            let acc = Acc::of(values.iter().filter_map(Value::as_f64));
+            let stat = |agg| finish(agg, acc, false).map_or(Value::Null, Value::Float);
             // perf: describe emits one owned row per column — bounded by
             // schema width, never by row count.
             out.push_row(vec![
@@ -620,9 +605,9 @@ impl Table {
                 Value::Int(values.len() as i64),
                 Value::Int(nulls as i64),
                 Value::Int(distinct as i64),
-                min,
-                max,
-                mean,
+                stat(AggFn::Min),
+                stat(AggFn::Max),
+                stat(AggFn::Mean),
             ])
             .expect("describe rows match the static schema");
         }

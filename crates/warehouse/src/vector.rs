@@ -1,8 +1,10 @@
-//! Vectorized columnar execution for planned queries.
+//! Vectorized columnar kernels: the execution half of the one executor
+//! that the `Table` verbs and the SQL planner share.
 //!
 //! The planner ([`plan`](crate::plan)) lowers SQL into a [`Plan`]; this
 //! module runs it over column batches and selection vectors instead of
-//! materialized intermediate tables:
+//! materialized intermediate tables, and the verbs in `query.rs` call the
+//! same kernels directly. One kernel per job:
 //!
 //! * filtering produces **selection vectors** (row indices / join pairs),
 //!   never an intermediate [`Table`] — operators exchange indices and the
@@ -11,25 +13,26 @@
 //!   whole-column-at-a-time, parallelized across columns over the shared
 //!   [`scan_blocks`](crate::engine) pool with the established
 //!   deterministic merge (each output column is an independent job);
-//! * [`join_pairs`] is build-side aware: the planner hashes whichever
-//!   input the statistics estimate smaller, and the output pair list is
+//! * [`join_pairs`] is build-side aware: it builds a [`KeyIndex`] over
+//!   whichever selection the caller names, and the output pair list is
 //!   restored to left-major order either way;
-//! * [`aggregate`] folds COUNT/SUM/MIN/MAX/AVG accumulators in one pass
-//!   over the typed slices, bit-identical to the legacy `fold` (same
-//!   float operations in the same row order).
+//! * [`sort_by_key`] is the one stable ORDER BY sort;
+//! * [`Acc`] is the one numeric accumulator: [`window`], [`aggregate`]
+//!   and `Table::describe` fold through it, in row order, with a sum that
+//!   starts at `-0.0` so it equals `Iterator::sum` bit for bit.
 //!
 //! Everything here is result-identical to the clause-by-clause
 //! `optimize = false` path ([`run`] dispatches on the flag) and to the
 //! `*_naive` oracles, which the property suites keep as identity gates.
 
-use crate::engine::{self, CmpOp, CompiledPredicate, KeyRef};
-use crate::plan::{Plan, Resolved, Side};
+use crate::engine::{self, CompiledPredicate, KeyIndex, KeyRef, Node};
+use crate::plan::{AggregateNode, Plan, Resolved, Side};
 use crate::query::AggFn;
 use crate::table::{Column, Schema, Table};
 use crate::value::Value;
 use crate::{DbError, Predicate};
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 // ---------------------------------------------------------------------
 // Columnar gather
@@ -88,164 +91,46 @@ pub(crate) fn join_pairs(
     rsel: &[usize],
     build_left: bool,
 ) -> Vec<(usize, usize)> {
+    let (bcol, bsel, pcol, psel) = if build_left {
+        (lcol, lsel, rcol, rsel)
+    } else {
+        (rcol, rsel, lcol, lsel)
+    };
+    let index = KeyIndex::from_cells(bsel.iter().map(|&i| (i, &bcol[i])));
     // Probe-side length is the lower bound on the output when keys are
     // near-unique — the common request_id-style join shape.
-    let mut out = Vec::with_capacity(if build_left { rsel.len() } else { lsel.len() });
+    let mut out = Vec::with_capacity(psel.len());
+    for &p in psel {
+        for &b in index.rows(&pcol[p]) {
+            out.push(if build_left { (b, p) } else { (p, b) });
+        }
+    }
     if build_left {
-        let mut index: HashMap<KeyRef<'_>, Vec<usize>> = HashMap::new();
-        for &li in lsel {
-            if let Some(k) = KeyRef::of(&lcol[li]) {
-                index.entry(k).or_default().push(li);
-            }
-        }
-        for &ri in rsel {
-            let Some(k) = KeyRef::of(&rcol[ri]) else {
-                continue;
-            };
-            if let Some(ls) = index.get(&k) {
-                for &li in ls {
-                    out.push((li, ri));
-                }
-            }
-        }
         // The probe ran right-major; the output contract is left-major.
         // Pairs are unique, so the unstable sort is deterministic.
         out.sort_unstable();
-    } else {
-        let mut index: HashMap<KeyRef<'_>, Vec<usize>> = HashMap::new();
-        for &ri in rsel {
-            if let Some(k) = KeyRef::of(&rcol[ri]) {
-                index.entry(k).or_default().push(ri);
-            }
-        }
-        for &li in lsel {
-            let Some(k) = KeyRef::of(&lcol[li]) else {
-                continue;
-            };
-            if let Some(rs) = index.get(&k) {
-                for &ri in rs {
-                    out.push((li, ri));
-                }
-            }
-        }
     }
     out
 }
 
-// ---------------------------------------------------------------------
-// Residual predicates over join pairs
-// ---------------------------------------------------------------------
-
-/// A predicate leaf resolved to a side-tagged column slice.
-enum PNode<'t> {
-    True,
-    /// Unknown column — false for every pair (the exploratory-filter
-    /// semantics of [`CompiledPredicate`]).
-    False,
-    Cmp {
-        side: Side,
-        col: &'t [Value],
-        op: CmpOp,
-        v: Value,
-    },
-    Between {
-        side: Side,
-        col: &'t [Value],
-        lo: Value,
-        hi: Value,
-    },
-    And(Vec<PNode<'t>>),
-    Or(Vec<PNode<'t>>),
-    Not(Box<PNode<'t>>),
-}
-
-/// A predicate compiled against a join's *pair space*: columns resolved
-/// to `(side, slice)` so mixed-side conjuncts (the residual the planner
-/// could not push below the join) evaluate without materializing the
-/// joined table.
-pub(crate) struct PairPredicate<'t> {
-    node: PNode<'t>,
-}
-
-impl<'t> PairPredicate<'t> {
-    pub(crate) fn compile<F>(pred: &Predicate, resolve: &F) -> PairPredicate<'t>
-    where
-        F: Fn(&str) -> Option<(Side, &'t [Value])>,
-    {
-        PairPredicate {
-            node: PNode::compile(pred, resolve),
+/// Stable sort of `items` by the `key` cell each one picks, under
+/// `total_cmp`, ascending or descending: equal keys keep their incoming
+/// order. The one ORDER BY sort — over row indices for `order_by` and
+/// single-table plans, over join pairs (keyed by one side) for joins.
+pub(crate) fn sort_by_key<T>(
+    items: &mut [T],
+    key: &[Value],
+    asc: bool,
+    pick: impl Fn(&T) -> usize,
+) {
+    items.sort_by(|a, b| {
+        let o = key[pick(a)].total_cmp(&key[pick(b)]);
+        if asc {
+            o
+        } else {
+            o.reverse()
         }
-    }
-
-    pub(crate) fn eval(&self, li: usize, ri: usize) -> bool {
-        self.node.eval(li, ri)
-    }
-}
-
-impl<'t> PNode<'t> {
-    fn compile<F>(pred: &Predicate, resolve: &F) -> PNode<'t>
-    where
-        F: Fn(&str) -> Option<(Side, &'t [Value])>,
-    {
-        let leaf = |c: &str, op: CmpOp, v: &Value| match resolve(c) {
-            None => PNode::False,
-            Some((side, col)) => PNode::Cmp {
-                side,
-                col,
-                op,
-                v: v.clone(),
-            },
-        };
-        match pred {
-            Predicate::True => PNode::True,
-            Predicate::Eq(c, v) => leaf(c, CmpOp::Eq, v),
-            Predicate::Ne(c, v) => leaf(c, CmpOp::Ne, v),
-            Predicate::Lt(c, v) => leaf(c, CmpOp::Lt, v),
-            Predicate::Le(c, v) => leaf(c, CmpOp::Le, v),
-            Predicate::Gt(c, v) => leaf(c, CmpOp::Gt, v),
-            Predicate::Ge(c, v) => leaf(c, CmpOp::Ge, v),
-            Predicate::Between(c, lo, hi) => match resolve(c) {
-                None => PNode::False,
-                Some((side, col)) => PNode::Between {
-                    side,
-                    col,
-                    lo: lo.clone(),
-                    hi: hi.clone(),
-                },
-            },
-            Predicate::And(ps) => {
-                PNode::And(ps.iter().map(|p| PNode::compile(p, resolve)).collect())
-            }
-            Predicate::Or(ps) => PNode::Or(ps.iter().map(|p| PNode::compile(p, resolve)).collect()),
-            Predicate::Not(p) => PNode::Not(Box::new(PNode::compile(p, resolve))),
-        }
-    }
-
-    fn eval(&self, li: usize, ri: usize) -> bool {
-        match self {
-            PNode::True => true,
-            PNode::False => false,
-            PNode::Cmp { side, col, op, v } => {
-                let c = &col[match side {
-                    Side::Left => li,
-                    Side::Right => ri,
-                }];
-                !c.is_null() && op.ok(c.total_cmp(v))
-            }
-            PNode::Between { side, col, lo, hi } => {
-                let c = &col[match side {
-                    Side::Left => li,
-                    Side::Right => ri,
-                }];
-                !c.is_null()
-                    && c.total_cmp(lo) != Ordering::Less
-                    && c.total_cmp(hi) == Ordering::Less
-            }
-            PNode::And(ns) => ns.iter().all(|n| n.eval(li, ri)),
-            PNode::Or(ns) => ns.iter().any(|n| n.eval(li, ri)),
-            PNode::Not(n) => !n.eval(li, ri),
-        }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -253,9 +138,11 @@ impl<'t> PNode<'t> {
 // ---------------------------------------------------------------------
 
 /// Streaming accumulator holding every statistic any [`AggFn`] finishes
-/// from. One pass, fixed size — no per-group value vector.
+/// from. One pass, fixed size — no per-group value vector. The only
+/// numeric accumulator: windows, GROUP BY, whole-table aggregates and
+/// `describe` all fold through it.
 #[derive(Clone, Copy)]
-struct Acc {
+pub(crate) struct Acc {
     n: usize,
     sum: f64,
     min: f64,
@@ -264,23 +151,34 @@ struct Acc {
 }
 
 impl Acc {
+    /// The sum starts at `-0.0`, the identity of IEEE addition, so a left
+    /// fold equals `Iterator::sum` bit for bit on every non-empty input —
+    /// including one of only `-0.0`s, where a `+0.0` start would turn the
+    /// sum positive.
     const NEW: Acc = Acc {
         n: 0,
-        sum: 0.0,
+        sum: -0.0,
         min: f64::INFINITY,
         max: f64::NEG_INFINITY,
         last: 0.0,
     };
 
-    /// Folds one numeric value. Operations and order match the legacy
-    /// per-group `fold` exactly (left-fold sum from 0.0, `f64::min`/`max`
-    /// from the infinities), so results are bit-identical.
+    /// Folds one numeric value: left-fold sum in arrival order,
+    /// `f64::min`/`max` from the infinities, last value wins.
     fn push(&mut self, v: f64) {
         self.n += 1;
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.last = v;
+    }
+
+    /// Folds every value of `vals`, in order.
+    pub(crate) fn of(vals: impl Iterator<Item = f64>) -> Acc {
+        vals.fold(Acc::NEW, |mut a, v| {
+            a.push(v);
+            a
+        })
     }
 }
 
@@ -302,7 +200,7 @@ fn update(agg: AggFn, cell: Option<&Value>, acc: &mut Acc) {
 /// Finishes an accumulator. `None` means "no value" — the row is dropped
 /// (grouped, all aggregates `None`) or rendered `Null`. Whole-table SUM
 /// over an empty input keeps its legacy `0.0`.
-fn finish(agg: AggFn, a: Acc, whole_table: bool) -> Option<f64> {
+pub(crate) fn finish(agg: AggFn, a: Acc, whole_table: bool) -> Option<f64> {
     match agg {
         AggFn::Count => Some(a.n as f64),
         AggFn::Sum => {
@@ -319,6 +217,45 @@ fn finish(agg: AggFn, a: Acc, whole_table: bool) -> Option<f64> {
         AggFn::Max => (a.n > 0).then_some(a.max),
         AggFn::Last => (a.n > 0).then_some(a.last),
     }
+}
+
+/// Fixed-window aggregation over a selection: each selected row whose
+/// time cell is an integer and whose value cell is numeric folds into the
+/// accumulator of bucket `time.div_euclid(window_us) * window_us`, in
+/// selection order. Returns `(bucket_start, aggregate)` in bucket order
+/// (the `BTreeMap` keeps key order by construction). `COUNT` counts the
+/// numeric values folded.
+pub(crate) fn window(
+    time: &[Value],
+    vals: &[Value],
+    rows: &[usize],
+    window_us: i64,
+    agg: AggFn,
+) -> Vec<(i64, f64)> {
+    let mut buckets: BTreeMap<i64, Acc> = BTreeMap::new();
+    // Time-ordered rows arrive in runs of one bucket: fold a run into a
+    // local accumulator and store it when the bucket changes.
+    let mut run: Option<(i64, Acc)> = None;
+    for &i in rows {
+        let (Some(t), Some(v)) = (time[i].as_i64(), vals[i].as_f64()) else {
+            continue;
+        };
+        let k = t.div_euclid(window_us) * window_us;
+        let (rk, acc) = run.get_or_insert((k, Acc::NEW));
+        if *rk != k {
+            buckets.insert(*rk, *acc);
+            *acc = buckets.get(&k).copied().unwrap_or(Acc::NEW);
+            *rk = k;
+        }
+        acc.push(v);
+    }
+    if let Some((rk, acc)) = run {
+        buckets.insert(rk, acc);
+    }
+    buckets
+        .into_iter()
+        .filter_map(|(k, a)| finish(agg, a, false).map(|v| (k, v)))
+        .collect()
 }
 
 /// Vectorized grouped/whole-table aggregation over a selection.
@@ -467,14 +404,14 @@ fn run_optimized(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
         let rsel = CompiledPredicate::compile(right, &plan.right_pred).matching_rows_with(workers);
         let mut pairs = join_pairs(left.col(lci), &lsel, right.col(rci), &rsel, plan.build_left);
         if plan.residual != Predicate::True {
+            // Residual leaves read pairs, never zone maps.
             let resolve = |name: &str| {
-                res.source
-                    .iter()
-                    .position(|s| s.name == name)
-                    .map(|si| side_slice(res, left, Some(right), si))
+                let si = res.source.iter().position(|s| s.name == name)?;
+                let (side, col) = side_slice(res, left, Some(right), si);
+                Some((side, col, None))
             };
-            let pp = PairPredicate::compile(&plan.residual, &resolve);
-            pairs.retain(|&(li, ri)| pp.eval(li, ri));
+            let residual = Node::compile(&plan.residual, &resolve);
+            pairs.retain(|&(li, ri)| residual.eval_pair(li, ri));
         }
 
         if let Some(aggn) = &res.aggregate {
@@ -495,26 +432,8 @@ fn run_optimized(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
                     .position(|&x| x == si)
                     .unwrap_or_default()
             };
-            let keys: Vec<&[Value]> = aggn
-                .keys
-                .iter()
-                .map(|&si| mat[pos(si)].as_slice())
-                .collect();
-            let aggs: Vec<(AggFn, Option<&[Value]>)> = aggn
-                .aggs
-                .iter()
-                .map(|a| (a.agg, a.src.map(|si| mat[pos(si)].as_slice())))
-                .collect();
             let ident: Vec<usize> = (0..pairs.len()).collect();
-            let t = aggregate(
-                &keys,
-                &aggs,
-                &ident,
-                aggn.whole_table,
-                &res.result_name,
-                &res.result,
-            );
-            return finish_aggregate(plan, t, workers);
+            return run_aggregate(plan, aggn, |si| &mat[pos(si)], &ident, workers);
         }
 
         if let Some((oc, asc)) = &plan.order_by {
@@ -527,19 +446,11 @@ fn run_optimized(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
                 .find(|&si| res.source[si].name == *oc);
             if let (false, Some(si)) = (plan.sort_elided, found) {
                 let (side, key) = side_slice(res, left, Some(right), si);
-                // Stable sort over left-major pair order: equal keys keep
+                // Stable over left-major pair order: equal keys keep
                 // their deterministic join order.
-                pairs.sort_by(|&(la, ra), &(lb, rb)| {
-                    let (ia, ib) = match side {
-                        Side::Left => (la, lb),
-                        Side::Right => (ra, rb),
-                    };
-                    let o = key[ia].total_cmp(&key[ib]);
-                    if *asc {
-                        o
-                    } else {
-                        o.reverse()
-                    }
+                sort_by_key(&mut pairs, key, *asc, |&(li, ri)| match side {
+                    Side::Left => li,
+                    Side::Right => ri,
                 });
             }
         }
@@ -561,25 +472,8 @@ fn run_optimized(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
 
     // Single-table pipeline.
     if let Some(aggn) = &res.aggregate {
-        let keys: Vec<&[Value]> = aggn
-            .keys
-            .iter()
-            .map(|&si| left.col(res.source[si].ci))
-            .collect();
-        let aggs: Vec<(AggFn, Option<&[Value]>)> = aggn
-            .aggs
-            .iter()
-            .map(|a| (a.agg, a.src.map(|si| left.col(res.source[si].ci))))
-            .collect();
-        let t = aggregate(
-            &keys,
-            &aggs,
-            &lsel,
-            aggn.whole_table,
-            &res.result_name,
-            &res.result,
-        );
-        return finish_aggregate(plan, t, workers);
+        let col = |si: usize| left.col(res.source[si].ci);
+        return run_aggregate(plan, aggn, col, &lsel, workers);
     }
 
     if let Some((oc, asc)) = &plan.order_by {
@@ -591,17 +485,9 @@ fn run_optimized(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
             .copied()
             .find(|&si| res.source[si].name == *oc);
         if let (false, Some(si)) = (plan.sort_elided, found) {
-            let key = left.col(res.source[si].ci);
-            // Stable sort over the ascending selection: equal keys keep
-            // row order, matching the materializing path bit for bit.
-            lsel.sort_by(|&a, &b| {
-                let o = key[a].total_cmp(&key[b]);
-                if *asc {
-                    o
-                } else {
-                    o.reverse()
-                }
-            });
+            // Stable over the ascending selection: equal keys keep row
+            // order, matching the materializing path bit for bit.
+            sort_by_key(&mut lsel, left.col(res.source[si].ci), *asc, |&i| i);
         }
     }
     if let Some(n) = plan.limit {
@@ -620,9 +506,26 @@ fn run_optimized(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
     ))
 }
 
-/// HAVING → ORDER BY → LIMIT over a materialized aggregate table (always
-/// small: one row per group).
-fn finish_aggregate(plan: &Plan<'_>, mut t: Table, workers: usize) -> Result<Table, DbError> {
+/// Aggregates `rows` of the source columns `col` resolves (by source
+/// index) into the plan's result table, then applies its tail clauses.
+fn run_aggregate<'a>(
+    plan: &Plan<'_>,
+    aggn: &AggregateNode,
+    col: impl Fn(usize) -> &'a [Value],
+    rows: &[usize],
+    workers: usize,
+) -> Result<Table, DbError> {
+    let keys: Vec<&[Value]> = aggn.keys.iter().map(|&si| col(si)).collect();
+    let aggs: Vec<(AggFn, Option<&[Value]>)> =
+        aggn.aggs.iter().map(|a| (a.agg, a.src.map(&col))).collect();
+    let (name, schema) = (&plan.res.result_name, &plan.res.result);
+    let t = aggregate(&keys, &aggs, rows, aggn.whole_table, name, schema);
+    finish_clauses(plan, t, workers)
+}
+
+/// HAVING → ORDER BY → LIMIT over a materialized table: an aggregate
+/// (always small, one row per group) or the planner-off path's rows.
+fn finish_clauses(plan: &Plan<'_>, mut t: Table, workers: usize) -> Result<Table, DbError> {
     if let Some(h) = &plan.having {
         let sel = CompiledPredicate::compile(&t, h).matching_rows_with(workers);
         t = t.gather(t.name(), &sel);
@@ -676,34 +579,12 @@ fn run_unoptimized(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
     }
 
     if let Some(aggn) = &res.aggregate {
-        let keys: Vec<&[Value]> = aggn.keys.iter().map(|&si| cur.col(si)).collect();
-        let aggs: Vec<(AggFn, Option<&[Value]>)> = aggn
-            .aggs
-            .iter()
-            .map(|a| (a.agg, a.src.map(|si| cur.col(si))))
-            .collect();
         let ident: Vec<usize> = (0..cur.row_count()).collect();
-        let t = aggregate(
-            &keys,
-            &aggs,
-            &ident,
-            aggn.whole_table,
-            &res.result_name,
-            &res.result,
-        );
-        return finish_aggregate(plan, t, workers);
+        return run_aggregate(plan, aggn, |si| cur.col(si), &ident, workers);
     }
-
-    let mut t = cur;
-    if let Some((oc, asc)) = &plan.order_by {
-        t = t.order_by(oc, *asc)?;
-    }
-    if let Some(n) = plan.limit {
-        if t.row_count() > n {
-            let keep: Vec<usize> = (0..n).collect();
-            t = t.gather(t.name(), &keep);
-        }
-    }
+    // Without an aggregate there is no HAVING, and the planner elides no
+    // sort with the optimizer off: the tail is ORDER BY → LIMIT.
+    let t = finish_clauses(plan, cur, workers)?;
     // The planner names the result; the clause-by-clause path must agree.
     let (_, schema, cols) = t.into_parts();
     Ok(Table::from_parts(res.result_name.clone(), schema, cols))

@@ -6,6 +6,7 @@
 
 use mscope_db::{AggFn, Column, ColumnType, Predicate, Schema, Table, Value};
 use mscope_sim::prop::{forall, Gen};
+use std::collections::BTreeMap;
 
 /// Generates an event-shaped table with a timestamp column (sorted with
 /// probability ½), an Int or Float metric column, and a short-alphabet
@@ -13,6 +14,13 @@ use mscope_sim::prop::{forall, Gen};
 /// them. Rebuilds the zone maps at an arbitrary (often tiny) block size
 /// so block-boundary edge cases are exercised constantly.
 fn arb_table(g: &mut Gen, name: &str) -> Table {
+    arb_table_with(g, name, false)
+}
+
+/// [`arb_table`], whose Float cells are `-0.0` with probability ½ when
+/// `neg_zero` is set — the input on which a fold's starting sum shows.
+/// With `neg_zero` off the draws are exactly [`arb_table`]'s.
+fn arb_table_with(g: &mut Gen, name: &str, neg_zero: bool) -> Table {
     let float_metric = g.bool();
     let schema = Schema::new(vec![
         Column::new("ts", ColumnType::Timestamp),
@@ -48,7 +56,11 @@ fn arb_table(g: &mut Gen, name: &str) -> Table {
             // Float columns admit Int cells: mix both so zone maps see
             // cross-type numeric comparisons.
             if g.bool() {
-                Value::Float(g.f64(-100.0..100.0))
+                if neg_zero && g.bool() {
+                    Value::Float(-0.0)
+                } else {
+                    Value::Float(g.f64(-100.0..100.0))
+                }
             } else {
                 Value::Int(g.i64(-100..=100))
             }
@@ -153,6 +165,75 @@ fn compiled_join_matches_naive_oracle() {
     });
 }
 
+/// Test-local windowed aggregation of `t`'s `ts`/`num` columns: buckets
+/// with `div_euclid`, folds with `Iterator::sum`, `f64::min`, `f64::max`
+/// and the last value — independent of the warehouse's accumulator.
+fn reference_window(t: &Table, window: i64, agg: AggFn) -> Vec<(i64, f64)> {
+    let (ts, num) = (
+        t.column("ts").unwrap_or(&[]),
+        t.column("num").unwrap_or(&[]),
+    );
+    let mut buckets: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+    for (tv, nv) in ts.iter().zip(num) {
+        if let (Some(time), Some(v)) = (tv.as_i64(), nv.as_f64()) {
+            buckets
+                .entry(time.div_euclid(window) * window)
+                .or_default()
+                .push(v);
+        }
+    }
+    buckets
+        .into_iter()
+        .map(|(k, vs)| {
+            let v = match agg {
+                AggFn::Count => vs.len() as f64,
+                AggFn::Sum => vs.iter().sum(),
+                AggFn::Mean => vs.iter().sum::<f64>() / vs.len() as f64,
+                AggFn::Min => vs.iter().copied().fold(f64::INFINITY, f64::min),
+                AggFn::Max => vs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                AggFn::Last => vs.last().copied().unwrap_or(f64::NAN),
+            };
+            (k, v)
+        })
+        .collect()
+}
+
+fn bits(series: &[(i64, f64)]) -> Vec<(i64, u64)> {
+    series.iter().map(|&(k, v)| (k, v.to_bits())).collect()
+}
+
+/// `window_agg_where` against the staged `filter_naive` + `window_agg`
+/// path and, bit for bit, against [`reference_window`].
+fn check_window(t: &Table, pred: &Predicate, window: i64, agg: AggFn) -> Result<(), String> {
+    let (matched, fused) = t
+        .window_agg_where(pred, "ts", window, "num", agg)
+        .map_err(|e| format!("fused path errored: {e:?}"))?;
+    let filtered = t.filter_naive(pred);
+    if matched != filtered.row_count() {
+        return Err(format!(
+            "matched-row count {matched} ≠ filtered rows {}",
+            filtered.row_count()
+        ));
+    }
+    let staged = filtered
+        .window_agg("ts", window, "num", agg)
+        .map_err(|e| format!("staged path errored: {e:?}"))?;
+    if fused != staged {
+        return Err(format!(
+            "series diverged: fused {} vs staged {} points",
+            fused.len(),
+            staged.len()
+        ));
+    }
+    let reference = reference_window(&filtered, window, agg);
+    if bits(&fused) != bits(&reference) {
+        return Err(format!(
+            "{agg:?} series differs from the reference fold: {fused:?} vs {reference:?}"
+        ));
+    }
+    Ok(())
+}
+
 #[test]
 fn fused_window_agg_matches_filter_then_agg() {
     forall("window_agg_where ≡ filter + window_agg", 128, |g| {
@@ -167,52 +248,10 @@ fn fused_window_agg_matches_filter_then_agg() {
             AggFn::Max,
             AggFn::Last,
         ]);
-        let (matched, fused) = t
-            .window_agg_where(&pred, "ts", window, "num", agg)
-            .map_err(|e| format!("fused path errored: {e:?}"))?;
-        let filtered = t.filter_naive(&pred);
-        if matched != filtered.row_count() {
-            return Err(format!(
-                "matched-row count {matched} ≠ filtered rows {}",
-                filtered.row_count()
-            ));
-        }
-        let staged = filtered
-            .window_agg("ts", window, "num", agg)
-            .map_err(|e| format!("staged path errored: {e:?}"))?;
-        if fused != staged {
-            return Err(format!(
-                "series diverged: fused {} vs staged {} points",
-                fused.len(),
-                staged.len()
-            ));
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn time_range_matches_predicate_filter() {
-    forall("time_range ≡ filter(Between)", 128, |g| {
-        let t = arb_table(g, "events");
-        let mut a = g.i64(-100_000..=100_000);
-        let mut b = g.i64(-100_000..=100_000);
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        let got = t.time_range("ts", a, b);
-        let expected = t.filter_naive(&Predicate::Between(
-            "ts".into(),
-            Value::Timestamp(a),
-            Value::Timestamp(b),
-        ));
-        if got != expected {
-            return Err(format!(
-                "time_range [{a}, {b}) gave {} rows, oracle {}",
-                got.row_count(),
-                expected.row_count()
-            ));
-        }
-        Ok(())
+        check_window(&t, &pred, window, agg)?;
+        // An added case, drawn after the original inputs: the same query
+        // over a table whose Float cells are often `-0.0`.
+        let zeros = arb_table_with(g, "events", true);
+        check_window(&zeros, &pred, window, agg)
     });
 }

@@ -611,6 +611,52 @@ fn naive_aggregate(cur: &Table, q: &Spec, name: &str) -> Result<Table, DbError> 
     Ok(t)
 }
 
+/// The named columns of `t` (in the given order) at the listed rows, built
+/// through the public `column`/`push_row` API only — the oracle's own
+/// projection, sort and limit, sharing no code with the executor.
+fn rebuild(t: &Table, cols: &[&str], rows: &[usize]) -> Result<Table, DbError> {
+    let mut schema = Vec::with_capacity(cols.len());
+    let mut data = Vec::with_capacity(cols.len());
+    for &c in cols {
+        let i = t
+            .schema()
+            .index_of(c)
+            .ok_or_else(|| DbError::NoSuchColumn(c.to_string()))?;
+        schema.push(t.schema().columns()[i].clone());
+        data.push(t.column(c).expect("column in schema"));
+    }
+    let mut out = Table::new(t.name(), Schema::new(schema)?);
+    for &i in rows {
+        out.push_row(data.iter().map(|col| col[i].clone()).collect())?;
+    }
+    Ok(out)
+}
+
+fn all_columns(t: &Table) -> Vec<&str> {
+    t.schema()
+        .columns()
+        .iter()
+        .map(|c| c.name.as_str())
+        .collect()
+}
+
+/// Stable `total_cmp` sort of `t`'s rows by `col`.
+fn sort_rows(t: &Table, col: &str, asc: bool) -> Result<Table, DbError> {
+    let key = t
+        .column(col)
+        .ok_or_else(|| DbError::NoSuchColumn(col.to_string()))?;
+    let mut order: Vec<usize> = (0..t.row_count()).collect();
+    order.sort_by(|&a, &b| {
+        let o = key[a].total_cmp(&key[b]);
+        if asc {
+            o
+        } else {
+            o.reverse()
+        }
+    });
+    rebuild(t, &all_columns(t), &order)
+}
+
 /// Clause-by-clause evaluation with the naive reference verbs; the
 /// oracle the planner legs must match byte for byte.
 fn naive_eval(db: &Database, q: &Spec) -> Result<Table, DbError> {
@@ -641,7 +687,8 @@ fn naive_eval(db: &Database, q: &Spec) -> Result<Table, DbError> {
             None => cur,
             Some(cs) => {
                 let refs: Vec<&str> = cs.iter().map(String::as_str).collect();
-                cur.select(&refs, &Predicate::True)?
+                let rows: Vec<usize> = (0..cur.row_count()).collect();
+                rebuild(&cur, &refs, &rows)?
             }
         }
     };
@@ -649,11 +696,11 @@ fn naive_eval(db: &Database, q: &Spec) -> Result<Table, DbError> {
         out = out.filter_naive(&h.pred());
     }
     if let Some((c, asc)) = &q.order_by {
-        out = out.order_by(c, *asc)?;
+        out = sort_rows(&out, c, *asc)?;
     }
     if let Some(n) = q.limit {
         let keep: Vec<usize> = (0..out.row_count().min(n)).collect();
-        out = out.select_rows(&keep);
+        out = rebuild(&out, &all_columns(&out), &keep)?;
     }
     Ok(out)
 }
